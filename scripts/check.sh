@@ -15,8 +15,8 @@
 # stage (the campaign daemon's result streams byte-identical to the
 # batch CLI with concurrent clients, across kill -9 plus journal
 # truncation, and warm from the shared store), a bench stage
-# (perf-trajectory harness gated against the
-# committed BENCH_9.json), a ThreadSanitizer pass over the parallel
+# (the repository benchmark's own tests: perfbench/run.py
+# --selftest), a ThreadSanitizer pass over the parallel
 # experiment engine, the result store, the tracer suite, the
 # injection suite and the campaign daemon, and an ASan+UBSan build
 # of the full test suite (which includes the injection and store
@@ -26,7 +26,7 @@
 #   scripts/check.sh --no-tsan   # skip the TSan stage
 #   scripts/check.sh --no-asan   # skip the ASan+UBSan stage
 #   scripts/check.sh --no-chaos  # skip the chaos smoke stage
-#   scripts/check.sh --no-bench  # skip the perf-trajectory gate
+#   scripts/check.sh --no-bench  # skip the perfbench self-test
 #   scripts/check.sh --no-serve  # skip the campaign-daemon stage
 #
 # The sanitizer stages configure separate build trees (build-tsan/,
@@ -298,28 +298,12 @@ if [ "$run_serve" = 1 ]; then
 fi
 
 if [ "$run_bench" = 1 ]; then
-    echo "== bench: perf trajectory vs committed BENCH_9.json =="
-    # Self-timing harness: regenerate the measurement and gate it
-    # against the committed artifact with a +-15% tolerance band on
-    # every phase rate (and derived speedups); the calendar-vs-heap
-    # speedup floor and the null-sink overhead ceiling are absolute
-    # gates re-checked at generation time. Wall-clock rates on a
-    # shared machine are noisy (background-load bursts can halve a
-    # phase's rate for a few seconds), so the gate gets three
-    # attempts; a real regression is reproducible and fails all
-    # three, printing the per-phase delta table each time.
-    bench_cmd=(./build/tools/uvmasync-bench --reps 5 --warmup 2
-        --require-speedup 1.5 --max-null-overhead 1.0
-        --compare BENCH_9.json --tolerance 0.15)
-    bench_ok=0
-    for attempt in 1 2 3; do
-        if "${bench_cmd[@]}"; then
-            bench_ok=1
-            break
-        fi
-        echo "bench: attempt $attempt failed (transient load?)" >&2
-    done
-    [ "$bench_ok" = 1 ]
+    echo "== bench: perfbench self-test =="
+    # Builds perfbench (RelWithDebInfo, its own tree) and runs its
+    # statistics/digest/compare tests. Benchmark runs themselves are
+    # timed by `python3 perfbench/run.py`, not gated here: wall-clock
+    # rates on a shared machine are too noisy for a CI threshold.
+    python3 perfbench/run.py --selftest
 fi
 
 if [ "$run_tsan" = 1 ]; then

@@ -27,9 +27,6 @@ using Addr = std::uint64_t;
 /** Page number (address divided by page size). */
 using PageNum = std::uint64_t;
 
-/** Monotonic event/transaction identifier. */
-using SeqNum = std::uint64_t;
-
 /** A tick value that compares greater than every valid time. */
 inline constexpr Tick maxTick = ~Tick(0);
 

@@ -11,7 +11,7 @@
 
 #include "common/logging.hh"
 #include "inject/injector.hh"
-#include "sim/event_queue.hh"
+#include "sim/watchdog.hh"
 #include "workloads/registry.hh"
 
 namespace uvmasync

@@ -11,7 +11,7 @@
 #include "common/types.hh"
 #include "gpu/gpu_config.hh"
 #include "mem/host_memory.hh"
-#include "sim/event_queue.hh"
+#include "sim/watchdog.hh"
 #include "xfer/migration_engine.hh"
 #include "xfer/pcie_link.hh"
 

@@ -45,54 +45,4 @@ BandwidthResource::reset()
     requests_ = 0;
 }
 
-ChannelResource::ChannelResource(std::string name, std::size_t channels,
-                                 Bandwidth perChannelBandwidth,
-                                 Tick perRequestLatency)
-    : name_(std::move(name))
-{
-    UVMASYNC_ASSERT(channels > 0, "%s: need at least one channel",
-                    name_.c_str());
-    channels_.reserve(channels);
-    for (std::size_t i = 0; i < channels; ++i) {
-        channels_.emplace_back(name_ + "." + std::to_string(i),
-                               perChannelBandwidth, perRequestLatency);
-    }
-}
-
-Occupancy
-ChannelResource::acquire(Tick now, Bytes bytes)
-{
-    BandwidthResource *best = &channels_.front();
-    for (auto &ch : channels_) {
-        if (ch.nextFree(now) < best->nextFree(now))
-            best = &ch;
-    }
-    return best->acquire(now, bytes);
-}
-
-Bytes
-ChannelResource::bytesServed() const
-{
-    Bytes total = 0;
-    for (const auto &ch : channels_)
-        total += ch.bytesServed();
-    return total;
-}
-
-Tick
-ChannelResource::busyTime() const
-{
-    Tick total = 0;
-    for (const auto &ch : channels_)
-        total += ch.busyTime();
-    return total;
-}
-
-void
-ChannelResource::reset()
-{
-    for (auto &ch : channels_)
-        ch.reset();
-}
-
 } // namespace uvmasync

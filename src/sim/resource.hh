@@ -4,15 +4,12 @@
  *
  * BandwidthResource models a serially shared link or memory port: each
  * request occupies the resource for bytes/bandwidth time, queued FCFS.
- * ChannelResource models n identical parallel channels (e.g. DMA
- * engines or DRAM channels) with earliest-free dispatch.
  */
 
 #ifndef UVMASYNC_SIM_RESOURCE_HH
 #define UVMASYNC_SIM_RESOURCE_HH
 
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 #include "common/units.hh"
@@ -34,8 +31,7 @@ struct Occupancy
  *
  * This is an analytic busy-until resource: acquire() computes when the
  * request can start (max of "now" and the previous request's end) and
- * advances the busy pointer. It composes with the EventQueue by having
- * callers schedule completion events at the returned end tick.
+ * advances the busy pointer.
  */
 class BandwidthResource
 {
@@ -85,38 +81,6 @@ class BandwidthResource
     Bytes bytesServed_ = 0;
     Tick busyTime_ = 0;
     std::uint64_t requests_ = 0;
-};
-
-/**
- * N identical parallel channels with earliest-free dispatch.
- */
-class ChannelResource
-{
-  public:
-    ChannelResource(std::string name, std::size_t channels,
-                    Bandwidth perChannelBandwidth,
-                    Tick perRequestLatency = 0);
-
-    const std::string &name() const { return name_; }
-    std::size_t channelCount() const { return channels_.size(); }
-
-    /**
-     * Dispatch a @p bytes transfer at @p now to the earliest-free
-     * channel; returns the occupied window.
-     */
-    Occupancy acquire(Tick now, Bytes bytes);
-
-    /** Aggregate bytes served across channels. */
-    Bytes bytesServed() const;
-
-    /** Aggregate busy time across channels. */
-    Tick busyTime() const;
-
-    void reset();
-
-  private:
-    std::string name_;
-    std::vector<BandwidthResource> channels_;
 };
 
 } // namespace uvmasync

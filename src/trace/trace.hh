@@ -2,8 +2,8 @@
  * @file
  * Span/counter tracer for the simulator's hot layers.
  *
- * Every instrumented component (event queue, PCIe link, fault
- * handler, migration engine, kernel executor, device phases) records
+ * Every instrumented component (PCIe link, fault handler, migration
+ * engine, kernel executor, device phases, watchdog) records
  * into one per-job Tracer through a raw pointer that is null when
  * tracing is off — the hook is a single predictable branch, so a
  * disabled trace costs nothing measurable. Events carry *stable*
@@ -41,7 +41,7 @@ namespace uvmasync
 /** Event category; frozen ordinals (append only). */
 enum class TraceCategory : std::uint8_t
 {
-    Sim = 0,       //!< event-queue dispatch
+    Sim = 0,       //!< simulation kernel (watchdog trips)
     Pcie = 1,      //!< link occupancy windows
     Fault = 2,     //!< far-fault raise / batch servicing
     Migration = 3, //!< eviction and residency churn
@@ -73,7 +73,7 @@ inline constexpr std::uint32_t traceAllCategories = 0xffffffffu;
  */
 enum class TraceName : std::uint16_t
 {
-    // Sim
+    // Sim (EventDispatch has no emitter; its ordinal stays reserved)
     EventDispatch = 0,
     // Pcie (order == TransferKind)
     PageableCopy = 10,

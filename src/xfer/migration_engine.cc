@@ -6,7 +6,7 @@
 
 #include "common/logging.hh"
 #include "inject/injector.hh"
-#include "sim/event_queue.hh"
+#include "sim/watchdog.hh"
 
 namespace uvmasync
 {

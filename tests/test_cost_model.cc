@@ -37,7 +37,7 @@
 
 #include "analysis/cost_model.hh"
 #include "runtime/device.hh"
-#include "sim/event_queue.hh"
+#include "sim/watchdog.hh"
 #include "workloads/registry.hh"
 
 namespace uvmasync

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the TLB, host-memory placement model, device memory LRU
+ * Tests for the host-memory placement model, device memory LRU
  * and the access-pattern taxonomy/stream generator.
  */
 
@@ -11,51 +11,11 @@
 #include "mem/access_pattern.hh"
 #include "mem/device_memory.hh"
 #include "mem/host_memory.hh"
-#include "mem/tlb.hh"
 
 namespace uvmasync
 {
 namespace
 {
-
-// --- TLB -----------------------------------------------------------
-
-TEST(Tlb, MissThenHit)
-{
-    Tlb tlb("tlb", 4, kib(4));
-    EXPECT_FALSE(tlb.access(0x1000));
-    EXPECT_TRUE(tlb.access(0x1fff)); // same page
-    EXPECT_FALSE(tlb.access(0x2000));
-}
-
-TEST(Tlb, LruEviction)
-{
-    Tlb tlb("tlb", 2, kib(4));
-    tlb.access(0x0000);
-    tlb.access(0x1000);
-    tlb.access(0x0000);          // refresh page 0
-    tlb.access(0x2000);          // evicts page 1
-    EXPECT_TRUE(tlb.access(0x0000));
-    EXPECT_FALSE(tlb.access(0x1000));
-}
-
-TEST(Tlb, FlushDropsTranslations)
-{
-    Tlb tlb("tlb", 4, kib(4));
-    tlb.access(0x1000);
-    tlb.flush();
-    EXPECT_FALSE(tlb.access(0x1000));
-}
-
-TEST(Tlb, MissRateAccounting)
-{
-    Tlb tlb("tlb", 16, kib(4));
-    for (int i = 0; i < 10; ++i)
-        tlb.access(0x5000);
-    EXPECT_NEAR(tlb.missRate(), 0.1, 1e-9);
-    tlb.resetStats();
-    EXPECT_DOUBLE_EQ(tlb.missRate(), 0.0);
-}
 
 // --- Host memory ----------------------------------------------------
 

@@ -85,41 +85,5 @@ TEST(BandwidthResource, ConservationProperty)
     EXPECT_EQ(r.busyTime(), expected);
 }
 
-TEST(ChannelResource, SpreadsAcrossChannels)
-{
-    ChannelResource r("ch", 4, Bandwidth::fromGBps(1.0));
-    // Four simultaneous requests should all start at time zero.
-    for (int i = 0; i < 4; ++i) {
-        Occupancy occ = r.acquire(0, 1000);
-        EXPECT_EQ(occ.start, 0u);
-    }
-    // The fifth queues behind the earliest-finished channel.
-    Occupancy fifth = r.acquire(0, 1000);
-    EXPECT_EQ(fifth.start, microseconds(1));
-}
-
-TEST(ChannelResource, AggregateStats)
-{
-    ChannelResource r("ch", 2, Bandwidth::fromGBps(1.0));
-    r.acquire(0, 1000);
-    r.acquire(0, 3000);
-    EXPECT_EQ(r.bytesServed(), 4000u);
-    EXPECT_EQ(r.busyTime(), microseconds(4));
-    r.reset();
-    EXPECT_EQ(r.bytesServed(), 0u);
-}
-
-TEST(ChannelResource, FasterThanSingleChannel)
-{
-    ChannelResource many("many", 8, Bandwidth::fromGBps(1.0));
-    BandwidthResource one("one", Bandwidth::fromGBps(1.0));
-    Tick manyEnd = 0, oneEnd = 0;
-    for (int i = 0; i < 64; ++i) {
-        manyEnd = std::max(manyEnd, many.acquire(0, kib(64)).end);
-        oneEnd = std::max(oneEnd, one.acquire(0, kib(64)).end);
-    }
-    EXPECT_LT(manyEnd, oneEnd);
-}
-
 } // namespace
 } // namespace uvmasync

@@ -161,8 +161,9 @@ referenceJournal(const std::string &payload, unsigned jobs)
     std::string error;
     EXPECT_TRUE(parseBatchSpec(payload, spec, error)) << error;
     std::vector<ExperimentPoint> points = batchSpecPoints(spec);
-    std::string path =
-        ::testing::TempDir() + "uvmasync_serve_ref.jsonl";
+    // Per-process: ctest runs the tests of this binary concurrently.
+    std::string path = ::testing::TempDir() + "uvmasync_serve_ref_" +
+                       std::to_string(::getpid()) + ".jsonl";
     ::unlink(path.c_str());
     {
         std::unique_ptr<RunJournal> journal =

@@ -235,12 +235,11 @@ TEST(NullSink, CompilesAwayAtConstexprTime)
 }
 
 /**
- * The bench harness's probe kernel in miniature: a serial xorshift
- * chain, optionally instrumented with a span + instant per step.
- * Constant-evaluating both variants and asserting bit-identical
- * results proves the sink's hooks have no observable side effects on
- * the surrounding computation — the runtime <1% overhead gate in
- * tools/uvmasync_bench.cc then bounds what codegen adds on top.
+ * A probe kernel: a serial xorshift chain, optionally instrumented
+ * with a span + instant per step. Constant-evaluating both variants
+ * and asserting bit-identical results proves the sink's hooks have no
+ * observable side effects on the surrounding computation. Any runtime
+ * cost codegen adds on top shows in perfbench's untraced points/s.
  */
 template <bool WithSink>
 constexpr std::uint64_t

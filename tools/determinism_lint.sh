@@ -163,11 +163,9 @@ if [ -n "$hits" ]; then
 fi
 
 # steady_clock is a monotonic duration source, acceptable only for
-# host-side performance metrics that never feed simulation results.
-# src/perf (and its driver tools/uvmasync_bench.cc) is the perf
-# harness: pure host-side self-timing that never feeds simulation
-# state, exactly like the parallel runner's wall-time metrics.
-ALLOW_STEADY='src/core/parallel_runner.cc src/perf/harness.cc src/perf/harness.hh tools/uvmasync_bench.cc'
+# host-side performance metrics that never feed simulation results:
+# only the parallel runner's wall-time metrics.
+ALLOW_STEADY='src/core/parallel_runner.cc'
 hits=$(scan "$RE_STEADY" $SIM_FILES)
 for allowed in $ALLOW_STEADY; do
     hits=$(printf '%s\n' "$hits" | grep -v -F "$allowed" || true)
