@@ -1,7 +1,5 @@
 #include "mem/device_memory.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace uvmasync
@@ -23,7 +21,75 @@ DeviceMemory::setLruTracking(bool enabled)
 {
     trackLru_ = enabled;
     if (!enabled)
-        lru_.clear();
+        dropLinks();
+}
+
+void
+DeviceMemory::dropLinks()
+{
+    links_.clear();
+    head_ = Slot{};
+    tail_ = Slot{};
+}
+
+void
+DeviceMemory::reserveRange(std::size_t rangeId, std::uint64_t chunkCount)
+{
+    if (!trackLru_)
+        return;
+    UVMASYNC_ASSERT(rangeId < kNil && chunkCount <= kNil,
+                    "%s: range %zu of %llu chunks exceeds the LRU "
+                    "index",
+                    name().c_str(), rangeId,
+                    static_cast<unsigned long long>(chunkCount));
+    // Growing an empty array allocates exactly chunkCount links; a
+    // non-empty one (insert() without a hint) grows geometrically.
+    if (links_.size() <= rangeId)
+        links_.resize(rangeId + 1);
+    if (links_[rangeId].size() < chunkCount)
+        links_[rangeId].resize(chunkCount);
+}
+
+DeviceMemory::Slot
+DeviceMemory::linkedSlot(std::size_t rangeId, std::uint64_t chunkIndex)
+{
+    if (rangeId >= links_.size() || chunkIndex >= links_[rangeId].size())
+        return Slot{};
+    Slot s{static_cast<std::uint32_t>(rangeId),
+           static_cast<std::uint32_t>(chunkIndex)};
+    // Only the head of a non-empty list has no predecessor.
+    if (at(s).prev.range != kNil || head_ == s)
+        return s;
+    return Slot{};
+}
+
+void
+DeviceMemory::unlink(Slot s)
+{
+    Link &link = at(s);
+    if (link.prev.range == kNil)
+        head_ = link.next;
+    else
+        at(link.prev).next = link.next;
+    if (link.next.range == kNil)
+        tail_ = link.prev;
+    else
+        at(link.next).prev = link.prev;
+    link.prev = Slot{};
+    link.next = Slot{};
+}
+
+void
+DeviceMemory::pushBack(Slot s)
+{
+    Link &link = at(s);
+    link.prev = tail_;
+    link.next = Slot{};
+    if (tail_.range == kNil)
+        head_ = s;
+    else
+        at(tail_).next = s;
+    tail_ = s;
 }
 
 void
@@ -36,9 +102,20 @@ DeviceMemory::insert(ResidentChunk chunk)
                     static_cast<unsigned long long>(chunk.bytes),
                     static_cast<unsigned long long>(residentBytes_),
                     static_cast<unsigned long long>(capacity_));
+    if (trackLru_) {
+        UVMASYNC_ASSERT(linkedSlot(chunk.rangeId, chunk.chunkIndex)
+                                .range == kNil,
+                        "%s: chunk (%zu, %llu) inserted twice",
+                        name().c_str(), chunk.rangeId,
+                        static_cast<unsigned long long>(
+                            chunk.chunkIndex));
+        reserveRange(chunk.rangeId, chunk.chunkIndex + 1);
+        Slot s{static_cast<std::uint32_t>(chunk.rangeId),
+               static_cast<std::uint32_t>(chunk.chunkIndex)};
+        at(s).bytes = chunk.bytes;
+        pushBack(s);
+    }
     residentBytes_ += chunk.bytes;
-    if (trackLru_)
-        lru_.push_back(chunk);
 }
 
 void
@@ -46,16 +123,11 @@ DeviceMemory::touch(std::size_t rangeId, std::uint64_t chunkIndex)
 {
     if (!trackLru_)
         return;
-    auto it = std::find_if(lru_.begin(), lru_.end(),
-                           [&](const ResidentChunk &c) {
-                               return c.rangeId == rangeId &&
-                                      c.chunkIndex == chunkIndex;
-                           });
-    if (it == lru_.end())
+    Slot s = linkedSlot(rangeId, chunkIndex);
+    if (s.range == kNil || s == tail_)
         return;
-    ResidentChunk chunk = *it;
-    lru_.erase(it);
-    lru_.push_back(chunk);
+    unlink(s);
+    pushBack(s);
 }
 
 ResidentChunk
@@ -63,10 +135,12 @@ DeviceMemory::evictVictim()
 {
     UVMASYNC_ASSERT(trackLru_, "%s: eviction requires LRU tracking",
                     name().c_str());
-    UVMASYNC_ASSERT(!lru_.empty(), "%s: eviction with nothing resident",
+    UVMASYNC_ASSERT(head_.range != kNil,
+                    "%s: eviction with nothing resident",
                     name().c_str());
-    ResidentChunk victim = lru_.front();
-    lru_.pop_front();
+    Slot s = head_;
+    ResidentChunk victim{s.range, s.chunk, at(s).bytes};
+    unlink(s);
     UVMASYNC_ASSERT(residentBytes_ >= victim.bytes,
                     "%s: resident byte accounting underflow",
                     name().c_str());
@@ -79,7 +153,7 @@ DeviceMemory::evictVictim()
 void
 DeviceMemory::clear()
 {
-    lru_.clear();
+    dropLinks();
     residentBytes_ = 0;
 }
 

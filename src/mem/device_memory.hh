@@ -8,9 +8,9 @@
 #define UVMASYNC_MEM_DEVICE_MEMORY_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/types.hh"
 #include "common/units.hh"
@@ -31,6 +31,11 @@ struct ResidentChunk
  * Device HBM: tracks resident bytes, answers "must I evict?" queries
  * and maintains an LRU order over resident chunks for
  * oversubscription studies.
+ *
+ * The LRU order is an intrusive doubly-linked list threaded through
+ * dense per-range link arrays indexed [rangeId][chunkIndex], so
+ * insert(), touch() and evictVictim() are O(1) with no per-chunk
+ * heap node and no hash index. A chunk is linked at most once.
  */
 class DeviceMemory : public SimObject
 {
@@ -61,12 +66,23 @@ class DeviceMemory : public SimObject
     bool lruTracking() const { return trackLru_; }
 
     /**
+     * Size range @p rangeId's link array for @p chunkCount chunks up
+     * front, so insert() never grows it. A no-op while LRU tracking
+     * is off.
+     */
+    void reserveRange(std::size_t rangeId, std::uint64_t chunkCount);
+
+    /**
      * Note a chunk arriving on the device (appends to LRU tail).
-     * Call evictVictim() first until fits() holds.
+     * Call evictVictim() first until fits() holds. Panics if the
+     * chunk is already linked.
      */
     void insert(ResidentChunk chunk);
 
-    /** Refresh a chunk's LRU position on access. */
+    /**
+     * Refresh a chunk's LRU position on access; a no-op for a chunk
+     * that is not linked.
+     */
     void touch(std::size_t rangeId, std::uint64_t chunkIndex);
 
     /**
@@ -85,11 +101,46 @@ class DeviceMemory : public SimObject
     void resetStats() override;
 
   private:
+    static constexpr std::uint32_t kNil = UINT32_MAX;
+
+    /** A (range, chunk) coordinate in links_; kNil = no chunk. */
+    struct Slot
+    {
+        std::uint32_t range = kNil;
+        std::uint32_t chunk = kNil;
+
+        bool operator==(const Slot &o) const
+        {
+            return range == o.range && chunk == o.chunk;
+        }
+    };
+
+    /** One chunk's LRU neighbours and its resident size. */
+    struct Link
+    {
+        Slot prev;
+        Slot next;
+        Bytes bytes = 0;
+    };
+
+    Link &at(Slot s) { return links_[s.range][s.chunk]; }
+
+    /** Slot of a linked chunk, or a nil Slot if it is not linked. */
+    Slot linkedSlot(std::size_t rangeId, std::uint64_t chunkIndex);
+
+    void unlink(Slot s);
+    void pushBack(Slot s);
+
+    /** Drop every link (and the link arrays). */
+    void dropLinks();
+
     Bytes capacity_;
     Bandwidth bandwidth_;
     bool trackLru_ = true;
     Bytes residentBytes_ = 0;
-    std::deque<ResidentChunk> lru_;
+    std::vector<std::vector<Link>> links_;
+    Slot head_; //!< least recently used
+    Slot tail_; //!< most recently used
     std::uint64_t evictions_ = 0;
     Bytes evictedBytes_ = 0;
 };

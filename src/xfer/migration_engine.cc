@@ -133,6 +133,7 @@ MigrationEngine::syncRanges()
         state.readyAt.assign(range.chunkCount(), maxTick);
         state.prefetched.assign(range.chunkCount(), false);
         state.demanded.assign(range.chunkCount(), false);
+        devMem_.reserveRange(rangeState_.size(), range.chunkCount());
         rangeState_.push_back(std::move(state));
     }
 }

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <set>
+#include <utility>
 
+#include "common/rng.hh"
 #include "mem/access_pattern.hh"
 #include "mem/device_memory.hh"
 #include "mem/host_memory.hh"
@@ -118,6 +122,191 @@ TEST(DeviceMemoryDeathTest, EvictWithoutResidencyPanics)
 {
     DeviceMemory dev("hbm", kib(64), Bandwidth::fromGBps(1400.0));
     EXPECT_DEATH(dev.evictVictim(), "nothing resident");
+}
+
+TEST(DeviceMemoryDeathTest, DoubleInsertPanics)
+{
+    DeviceMemory dev("hbm", mib(1), Bandwidth::fromGBps(1400.0));
+    dev.insert(ResidentChunk{0, 3, kib(64)});
+    EXPECT_DEATH(dev.insert(ResidentChunk{0, 3, kib(64)}),
+                 "inserted twice");
+}
+
+/**
+ * Reference model: the linear deque LRU DeviceMemory used before its
+ * intrusive list. Slow but obviously correct; the oracle test below
+ * checks the real LRU against it step by step.
+ */
+class DequeLru
+{
+  public:
+    explicit DequeLru(Bytes capacity) : capacity_(capacity) {}
+
+    bool fits(Bytes bytes) const { return resident_ + bytes <= capacity_; }
+    Bytes residentBytes() const { return resident_; }
+    std::uint64_t evictions() const { return evictions_; }
+    Bytes evictedBytes() const { return evictedBytes_; }
+    const std::deque<ResidentChunk> &order() const { return lru_; }
+
+    void setLruTracking(bool enabled)
+    {
+        track_ = enabled;
+        if (!enabled)
+            lru_.clear();
+    }
+
+    void insert(ResidentChunk chunk)
+    {
+        resident_ += chunk.bytes;
+        if (track_)
+            lru_.push_back(chunk);
+    }
+
+    void touch(std::size_t rangeId, std::uint64_t chunkIndex)
+    {
+        if (!track_)
+            return;
+        auto it = std::find_if(lru_.begin(), lru_.end(),
+                               [&](const ResidentChunk &c) {
+                                   return c.rangeId == rangeId &&
+                                          c.chunkIndex == chunkIndex;
+                               });
+        if (it == lru_.end())
+            return;
+        ResidentChunk chunk = *it;
+        lru_.erase(it);
+        lru_.push_back(chunk);
+    }
+
+    ResidentChunk evictVictim()
+    {
+        ResidentChunk victim = lru_.front();
+        lru_.pop_front();
+        resident_ -= victim.bytes;
+        ++evictions_;
+        evictedBytes_ += victim.bytes;
+        return victim;
+    }
+
+    void clear()
+    {
+        lru_.clear();
+        resident_ = 0;
+    }
+
+  private:
+    Bytes capacity_;
+    bool track_ = true;
+    Bytes resident_ = 0;
+    std::deque<ResidentChunk> lru_;
+    std::uint64_t evictions_ = 0;
+    Bytes evictedBytes_ = 0;
+};
+
+/** Drives DeviceMemory and DequeLru through one seeded sequence. */
+void
+runLruOracle(std::uint64_t seed)
+{
+    constexpr std::size_t ranges = 4;
+    constexpr std::uint64_t chunksPerRange = 48;
+    const Bytes capacity = kib(64) * 64;
+    DeviceMemory dev("hbm", capacity, Bandwidth::fromGBps(1400.0));
+    DequeLru ref(capacity);
+    Rng rng(seed);
+    bool tracking = true;
+    // Chunks inserted and not yet evicted or cleared (linked or not).
+    std::set<std::pair<std::size_t, std::uint64_t>> resident;
+
+    auto sameState = [&](int step) {
+        EXPECT_EQ(dev.residentBytes(), ref.residentBytes())
+            << "seed " << seed << " step " << step;
+        EXPECT_EQ(dev.evictions(), ref.evictions())
+            << "seed " << seed << " step " << step;
+        EXPECT_EQ(dev.evictedBytes(), ref.evictedBytes())
+            << "seed " << seed << " step " << step;
+    };
+    auto evictBoth = [&](int step) {
+        ResidentChunk want = ref.evictVictim();
+        ResidentChunk got = dev.evictVictim();
+        EXPECT_EQ(got.rangeId, want.rangeId)
+            << "seed " << seed << " step " << step;
+        EXPECT_EQ(got.chunkIndex, want.chunkIndex)
+            << "seed " << seed << " step " << step;
+        EXPECT_EQ(got.bytes, want.bytes)
+            << "seed " << seed << " step " << step;
+        resident.erase({want.rangeId, want.chunkIndex});
+        return want;
+    };
+    auto insertBoth = [&](ResidentChunk chunk, int step) {
+        if (resident.count({chunk.rangeId, chunk.chunkIndex}))
+            return;
+        while (!ref.fits(chunk.bytes) && tracking &&
+               !ref.order().empty())
+            evictBoth(step);
+        if (!ref.fits(chunk.bytes))
+            return; // only unlinked chunks left: nothing to evict
+        ref.insert(chunk);
+        dev.insert(chunk);
+        resident.insert({chunk.rangeId, chunk.chunkIndex});
+    };
+    auto randomChunk = [&] {
+        return ResidentChunk{rng.uniformInt(ranges),
+                             rng.uniformInt(chunksPerRange),
+                             kib(64) * (1 + rng.uniformInt(3))};
+    };
+
+    ResidentChunk lastVictim{0, 0, kib(64)};
+    for (int step = 0; step < 4000; ++step) {
+        std::uint64_t op = rng.uniformInt(100);
+        const std::deque<ResidentChunk> &order = ref.order();
+        if (op < 45) {
+            insertBoth(randomChunk(), step);
+        } else if (op < 50) {
+            insertBoth(lastVictim, step); // re-insert after evict
+        } else if (op < 80) {
+            if (order.empty())
+                continue;
+            // Head, tail, or a middle chunk of the LRU order.
+            std::size_t at = op < 60   ? 0
+                             : op < 70 ? order.size() - 1
+                                       : order.size() / 2;
+            ResidentChunk c = order[at];
+            ref.touch(c.rangeId, c.chunkIndex);
+            dev.touch(c.rangeId, c.chunkIndex);
+        } else if (op < 88) {
+            // Non-resident, possibly outside any range seen so far.
+            std::size_t r = rng.uniformInt(ranges + 2);
+            std::uint64_t c = rng.uniformInt(chunksPerRange * 2);
+            if (!resident.count({r, c})) {
+                ref.touch(r, c);
+                dev.touch(r, c);
+            }
+        } else if (op < 95) {
+            if (!tracking || order.empty())
+                continue;
+            lastVictim = evictBoth(step);
+        } else if (op < 97) {
+            ref.clear();
+            dev.clear();
+            resident.clear();
+            if (rng.chance(0.5))
+                dev.reserveRange(rng.uniformInt(ranges), chunksPerRange);
+        } else {
+            tracking = !tracking;
+            ref.setLruTracking(tracking);
+            dev.setLruTracking(tracking);
+        }
+        sameState(step);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    EXPECT_GT(ref.evictions(), 50u) << "seed " << seed;
+}
+
+TEST(DeviceMemory, LruOrderMatchesDequeOracle)
+{
+    for (std::uint64_t seed : {1, 2, 3, 17, 99, 1042})
+        runLruOracle(seed);
 }
 
 // --- Access patterns -------------------------------------------------
