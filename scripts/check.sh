@@ -7,9 +7,9 @@
 # a trace-export smoke run, a chaos stage (the
 # fault-injection suite plus an injected smoke run), a resume stage
 # (journal byte-determinism across job counts, kill-and-resume CSV
-# identity, watchdog quarantine), a store stage (cold-vs-warm CSV
-# identity through the result store, hit-rate accounting, eviction
-# under a byte budget), an fsck stage (deliberate multi-layer damage
+# and stdout identity, watchdog quarantine), a store stage
+# (cold-vs-warm CSV identity through the result store, hit-rate
+# accounting, eviction under a byte budget), an fsck stage (deliberate multi-layer damage
 # caught at exit 1, repaired in place with --repair, and the repaired
 # artifacts proven byte-identical on resume/warm rerun), a serve
 # stage (the campaign daemon's result streams byte-identical to the
@@ -115,21 +115,23 @@ echo "== resume: crash-safe journal + watchdog quarantine =="
 # Journal and merged CSV are byte-deterministic across job counts.
 ./build/tools/uvmasync run --workload saxpy --size tiny --runs 2 \
     --jobs 1 --journal "$trace_out/j1.jsonl" \
-    --out "$trace_out/ref.csv" > /dev/null
+    --out "$trace_out/ref.csv" > "$trace_out/ref.stdout"
 ./build/tools/uvmasync run --workload saxpy --size tiny --runs 2 \
     --jobs 4 --journal "$trace_out/j4.jsonl" \
     --out "$trace_out/par.csv" > /dev/null
 cmp "$trace_out/j1.jsonl" "$trace_out/j4.jsonl"
 cmp "$trace_out/ref.csv" "$trace_out/par.csv"
 # Kill at a record boundary (keep the header + 2 records) and resume
-# at --jobs 4: the completed journal and the merged CSV must be
-# byte-identical to the uninterrupted serial run.
+# at --jobs 4: the completed journal, the merged CSV and stdout must
+# be byte-identical to the uninterrupted serial run (diagnostics such
+# as the resume notice go to stderr).
 head -n 3 "$trace_out/j1.jsonl" > "$trace_out/partial.jsonl"
 ./build/tools/uvmasync run --workload saxpy --size tiny --runs 2 \
     --jobs 4 --resume "$trace_out/partial.jsonl" \
-    --out "$trace_out/res.csv" > /dev/null
+    --out "$trace_out/res.csv" > "$trace_out/res.stdout"
 cmp "$trace_out/partial.jsonl" "$trace_out/j1.jsonl"
 cmp "$trace_out/res.csv" "$trace_out/ref.csv"
+cmp "$trace_out/res.stdout" "$trace_out/ref.stdout"
 # A watchdog-tripped run retries, quarantines, reports the damage on
 # stderr, and exits non-zero instead of wedging the whole batch.
 if ./build/tools/uvmasync run --workload saxpy --size tiny --runs 2 \

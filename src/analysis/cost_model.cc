@@ -84,15 +84,17 @@ struct BufferState
     bool stays = true;
 };
 
-/** Static per-launch estimates for one mode, by kernel index. */
+/** Static per-launch estimates for one mode, by kernel index; the
+ * L1 simulations go through @p l1, shared across modes. */
 std::vector<KernelStaticEstimate>
 kernelEstimates(const SystemConfig &system, const Job &job,
-                TransferMode mode)
+                TransferMode mode, L1Memo &l1)
 {
     KernelExecConfig ec;
     ec.gpu = system.gpu;
     ec.mode = mode;
     ec.bufferBytes = job.bufferSizes();
+    ec.l1Memo = &l1;
     ec.bufferRangeIds.resize(job.buffers.size());
     std::iota(ec.bufferRangeIds.begin(), ec.bufferRangeIds.end(), 0);
     KernelExecutor ex(std::move(ec));
@@ -397,10 +399,18 @@ analyzeCost(const SystemConfig &system, const Job &job)
     CostReport report;
     report.flow = analyzeDataflow(system, job);
 
+    // Every mode's executor shares one L1 context (default carveout,
+    // seed and sampling), and same-shaped kernels share their buffer
+    // streams, so one memo simulates each distinct stream once.
+    const KernelExecConfig defaults;
+    L1Memo l1(system.gpu, job.bufferSizes(),
+              system.gpu.defaultSharedCarveout, defaults.seed,
+              defaults.cacheParams);
+
     for (std::size_t m = 0; m < allTransferModes.size(); ++m) {
         TransferMode mode = allTransferModes[m];
         std::vector<KernelStaticEstimate> est =
-            kernelEstimates(system, job, mode);
+            kernelEstimates(system, job, mode, l1);
         report.modes[m] = usesUvm(mode)
                               ? uvmCost(system, job, report.flow,
                                         mode, est)

@@ -12,7 +12,10 @@
  * bulk prefetch, per-launch churn, end-of-job writeback of resident
  * dirty chunks), and the kernel executor's resident-data wave
  * schedule (via KernelExecutor::estimateResident, so kernel timing
- * has a single source of truth). Its honesty is enforced by the
+ * has a single source of truth). One analyzeCost call shares an
+ * L1Memo (gpu/cache_model.hh) across its five per-mode executors, so
+ * each distinct (mode, buffer uses) L1 stream is simulated once; the
+ * memo dies with the call. The model's honesty is enforced by the
  * registry-wide cross-validation suite (tests/test_cost_model.cc)
  * and the committed accuracy summary it gates.
  */

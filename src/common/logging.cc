@@ -114,7 +114,7 @@ inform(const char *fmt, ...)
         return;
     std::va_list args;
     va_start(args, fmt);
-    emit("info: ", stdout, fmt, args);
+    emit("info: ", stderr, fmt, args);
     va_end(args);
 }
 

@@ -5,7 +5,7 @@
  * panic()  — internal simulator invariant broken; aborts.
  * fatal()  — user/configuration error; exits with an error code.
  * warn()   — something is modelled approximately; simulation continues.
- * inform() — plain status output.
+ * inform() — plain status output, on stderr: stdout carries data only.
  */
 
 #ifndef UVMASYNC_COMMON_LOGGING_HH
@@ -81,7 +81,7 @@ class FatalThrowScope
 void warn(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Report normal status to the console. */
+/** Report normal status on stderr. */
 void inform(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 

@@ -45,6 +45,8 @@ class Bandwidth
 
     constexpr bool valid() const { return bytesPerSecond_ > 0.0; }
 
+    constexpr bool operator==(const Bandwidth &) const = default;
+
     /**
      * Time needed to move @p bytes at this rate, rounded up to a
      * whole picosecond so back-to-back transfers never alias.
@@ -95,6 +97,8 @@ class Frequency
     constexpr double mhz() const { return hz_ / 1e6; }
 
     constexpr bool valid() const { return hz_ > 0.0; }
+
+    constexpr bool operator==(const Frequency &) const = default;
 
     /** Picoseconds per clock cycle (as a double; callers round). */
     constexpr double

@@ -152,4 +152,37 @@ simulateL1(const GpuConfig &cfg, const KernelDescriptor &kd,
     return res;
 }
 
+L1Memo::L1Memo(const GpuConfig &gpu, std::vector<Bytes> bufferBytes,
+               Bytes sharedCarveout, std::uint64_t seed,
+               const CacheModelParams &params)
+    : gpu_(gpu), bufferBytes_(std::move(bufferBytes)),
+      sharedCarveout_(sharedCarveout), seed_(seed), params_(params)
+{
+}
+
+CacheModelResult
+L1Memo::get(const KernelDescriptor &kd, TransferMode mode)
+{
+    Key key{mode, kd.buffers};
+    auto it = results_.find(key);
+    if (it == results_.end()) {
+        CacheModelResult res = simulateL1(gpu_, kd, bufferBytes_, mode,
+                                          sharedCarveout_, seed_,
+                                          params_);
+        it = results_.emplace(std::move(key), res).first;
+    }
+    return it->second;
+}
+
+bool
+L1Memo::matches(const GpuConfig &gpu,
+                const std::vector<Bytes> &bufferBytes,
+                Bytes sharedCarveout, std::uint64_t seed,
+                const CacheModelParams &params) const
+{
+    return gpu == gpu_ && bufferBytes == bufferBytes_ &&
+           sharedCarveout == sharedCarveout_ && seed == seed_ &&
+           params == params_;
+}
+
 } // namespace uvmasync

@@ -12,12 +12,17 @@
  * UVM configurations lose part of the L1 to migration metadata and
  * prefetch-injected lines, which is what makes them sensitive to
  * oversized shared-memory carveouts (Figure 13).
+ *
+ * L1Memo memoises simulateL1 for callers that price many kernels
+ * under one fixed L1 context (the static cost model).
  */
 
 #ifndef UVMASYNC_GPU_CACHE_MODEL_HH
 #define UVMASYNC_GPU_CACHE_MODEL_HH
 
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -51,6 +56,8 @@ struct CacheModelParams
 
     /** Extra pollution when the explicit prefetcher is active. */
     double prefetchL1Pollution = 0.13;
+
+    bool operator==(const CacheModelParams &) const = default;
 };
 
 /**
@@ -64,6 +71,47 @@ simulateL1(const GpuConfig &cfg, const KernelDescriptor &kd,
            const std::vector<Bytes> &bufferBytes, TransferMode mode,
            Bytes sharedCarveout, std::uint64_t seed,
            const CacheModelParams &params = {});
+
+/**
+ * Content-keyed memo of simulateL1 over one fixed L1 context: the
+ * GPU, the job's buffer sizes, the carveout, the seed and the
+ * sampling parameters. Everything else simulateL1 reads is the mode
+ * and the kernel's buffer uses, so get() keys on exactly
+ * (mode, kd.buffers) and simulates each distinct stream once.
+ * bufferId stays in the key: it sets each stream's base address, and
+ * the set count need not be a power of two.
+ *
+ * Not thread-safe; meant to live for one caller-owned computation.
+ */
+class L1Memo
+{
+  public:
+    L1Memo(const GpuConfig &gpu, std::vector<Bytes> bufferBytes,
+           Bytes sharedCarveout, std::uint64_t seed,
+           const CacheModelParams &params = {});
+
+    /** simulateL1 of @p kd under @p mode in this memo's context. */
+    CacheModelResult get(const KernelDescriptor &kd, TransferMode mode);
+
+    /** Whether this memo's context is exactly these inputs. */
+    bool matches(const GpuConfig &gpu,
+                 const std::vector<Bytes> &bufferBytes,
+                 Bytes sharedCarveout, std::uint64_t seed,
+                 const CacheModelParams &params) const;
+
+    /** Distinct streams simulated so far. */
+    std::size_t size() const { return results_.size(); }
+
+  private:
+    using Key = std::pair<TransferMode, std::vector<KernelBufferUse>>;
+
+    GpuConfig gpu_;
+    std::vector<Bytes> bufferBytes_;
+    Bytes sharedCarveout_;
+    std::uint64_t seed_;
+    CacheModelParams params_;
+    std::map<Key, CacheModelResult> results_;
+};
 
 } // namespace uvmasync
 

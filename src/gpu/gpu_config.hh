@@ -90,6 +90,8 @@ struct GpuConfig
             return 0;
         return unifiedL1Bytes - sharedCarveout;
     }
+
+    bool operator==(const GpuConfig &) const = default;
 };
 
 } // namespace uvmasync

@@ -11,6 +11,7 @@
 #ifndef UVMASYNC_GPU_KERNEL_DESCRIPTOR_HH
 #define UVMASYNC_GPU_KERNEL_DESCRIPTOR_HH
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -41,6 +42,10 @@ struct KernelBufferUse
      * (and thus ride the async-copy pipeline in async modes).
      */
     bool stagedThroughShared = true;
+
+    /** Field-wise order: an exact key over everything simulateL1
+     * reads from a buffer use (gpu/cache_model.hh). */
+    auto operator<=>(const KernelBufferUse &) const = default;
 };
 
 /**

@@ -103,8 +103,17 @@ KernelExecutor::derive(const KernelDescriptor &kd) const
         1.0, static_cast<double>(d.effWarpsPerSm) /
                  std::max(1.0, kd.warpsToSaturate));
 
-    d.cache = simulateL1(gpu, kd, cfg_.bufferBytes, cfg_.mode,
-                         d.carveout, cfg_.seed, cfg_.cacheParams);
+    if (cfg_.l1Memo) {
+        UVMASYNC_ASSERT(cfg_.l1Memo->matches(gpu, cfg_.bufferBytes,
+                                             d.carveout, cfg_.seed,
+                                             cfg_.cacheParams),
+                        "%s: L1 memo built for another L1 context",
+                        kd.name.c_str());
+        d.cache = cfg_.l1Memo->get(kd, cfg_.mode);
+    } else {
+        d.cache = simulateL1(gpu, kd, cfg_.bufferBytes, cfg_.mode,
+                             d.carveout, cfg_.seed, cfg_.cacheParams);
+    }
 
     // Per-tile instruction mix: element-proportional parts scale with
     // the tile, async adds fixed per-thread pipeline management.

@@ -70,6 +70,13 @@ struct KernelExecConfig
 
     CacheModelParams cacheParams;
 
+    /**
+     * Optional, non-owning simulateL1 memo (static cost model only;
+     * Device never sets it). Must have been built from this config's
+     * gpu, bufferBytes, resolved carveout, seed and cacheParams.
+     */
+    L1Memo *l1Memo = nullptr;
+
     /** @{ Synchronous-staging calibration. */
     /** Load-path inflation of the LDG->register->STS staging loop. */
     double regStagingPenalty = 1.9;

@@ -22,20 +22,29 @@
  *
  *     ./build/tests/test_cost_model --update-golden
  *     git diff tests/golden/cost_model_accuracy.csv
+ *
+ * The L1Memo tests pin the simulateL1 memo analyzeCost shares across
+ * modes: bit-identical to direct calls, keyed on exactly what
+ * simulateL1 reads, and bound to one L1 context.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/cost_model.hh"
+#include "gpu/cache_model.hh"
+#include "gpu/kernel_executor.hh"
 #include "runtime/device.hh"
 #include "sim/watchdog.hh"
 #include "workloads/registry.hh"
@@ -332,6 +341,152 @@ TEST(CostModel, ReportCoversAllModesAndPicksConsistentWinner)
         EXPECT_GE(rep.mode(m).overallPs(), best);
     }
     EXPECT_GT(rep.asyncOverUvm, 0.0);
+}
+
+// --- the L1 memo analyzeCost shares across modes ---------------------
+
+bool
+sameBits(const CacheModelResult &a, const CacheModelResult &b)
+{
+    return std::bit_cast<std::uint64_t>(a.loadMissRate) ==
+               std::bit_cast<std::uint64_t>(b.loadMissRate) &&
+           std::bit_cast<std::uint64_t>(a.storeMissRate) ==
+               std::bit_cast<std::uint64_t>(b.storeMissRate) &&
+           a.loads == b.loads && a.stores == b.stores;
+}
+
+TEST(L1Memo, EqualsDirectSimulationAcrossRegistry)
+{
+    registerAllWorkloads();
+    const GpuConfig gpu = SystemConfig::a100Epyc().gpu;
+    const Bytes carveout = gpu.defaultSharedCarveout;
+    const WorkloadRegistry &reg = WorkloadRegistry::instance();
+    for (const std::string &name : reg.names()) {
+        for (SizeClass size : {SizeClass::Tiny, SizeClass::Small}) {
+            Job job = reg.get(name).makeJob(size);
+            const std::vector<Bytes> bytes = job.bufferSizes();
+            L1Memo memo(gpu, bytes, carveout, 1);
+            for (TransferMode mode : allTransferModes) {
+                // One check per kernel name: an executor derives
+                // (and looks up) each name once.
+                std::set<std::string> seen;
+                for (const KernelDescriptor &kd : job.kernels) {
+                    if (!seen.insert(kd.name).second)
+                        continue;
+                    CacheModelResult direct = simulateL1(
+                        gpu, kd, bytes, mode, carveout, 1);
+                    EXPECT_TRUE(sameBits(memo.get(kd, mode), direct))
+                        << name << " @ " << sizeClassName(size) << " "
+                        << transferModeName(mode) << " " << kd.name;
+                }
+            }
+        }
+    }
+}
+
+TEST(L1Memo, EveryKeyFieldAndTheModeIsAMiss)
+{
+    const GpuConfig gpu;
+    const Bytes carveout = gpu.defaultSharedCarveout;
+    const std::vector<Bytes> bytes = {mib(8), mib(8)};
+    L1Memo memo(gpu, bytes, carveout, 1);
+
+    KernelDescriptor kd;
+    kd.buffers = {KernelBufferUse{}};
+    memo.get(kd, TransferMode::Async);
+    KernelDescriptor renamed = kd;
+    renamed.name = "other";
+    renamed.gridBlocks = 4096;
+    memo.get(renamed, TransferMode::Async);
+    EXPECT_EQ(memo.size(), 1u)
+        << "fields simulateL1 never reads must not split the key";
+
+    const std::vector<std::function<void(KernelBufferUse &)>> edits = {
+        [](KernelBufferUse &u) { u.bufferId = 1; },
+        [](KernelBufferUse &u) { u.pattern = AccessPattern::Random; },
+        [](KernelBufferUse &u) { u.read = false; },
+        [](KernelBufferUse &u) { u.written = true; },
+        [](KernelBufferUse &u) { u.touchedFraction = 0.5; },
+        [](KernelBufferUse &u) { u.stagedThroughShared = false; },
+    };
+    std::size_t expected = 1;
+    for (std::size_t i = 0; i < edits.size(); ++i) {
+        KernelDescriptor v = kd;
+        edits[i](v.buffers[0]);
+        CacheModelResult r = memo.get(v, TransferMode::Async);
+        EXPECT_EQ(memo.size(), ++expected) << "edit " << i;
+        EXPECT_TRUE(sameBits(r, simulateL1(gpu, v, bytes,
+                                           TransferMode::Async,
+                                           carveout, 1)))
+            << "edit " << i;
+    }
+    memo.get(kd, TransferMode::Uvm);
+    EXPECT_EQ(memo.size(), ++expected) << "the mode is part of the key";
+}
+
+TEST(L1Memo, Resnet50TinySimulatesEachDistinctStreamOnce)
+{
+    registerAllWorkloads();
+    const SystemConfig sys = SystemConfig::a100Epyc();
+    Job job = WorkloadRegistry::instance()
+                  .get("resnet50")
+                  .makeJob(SizeClass::Tiny);
+    L1Memo memo(sys.gpu, job.bufferSizes(),
+                sys.gpu.defaultSharedCarveout, 1);
+    std::size_t lookups = 0;
+    for (TransferMode mode : allTransferModes) {
+        // One executor per mode, as analyzeCost builds them; each
+        // derives (and looks up) every kernel name once.
+        KernelExecConfig ec;
+        ec.gpu = sys.gpu;
+        ec.mode = mode;
+        ec.bufferBytes = job.bufferSizes();
+        ec.l1Memo = &memo;
+        KernelExecutor ex(std::move(ec));
+        std::set<std::string> names;
+        for (const KernelDescriptor &kd : job.kernels) {
+            ex.estimateResident(kd);
+            names.insert(kd.name);
+        }
+        lookups += names.size();
+    }
+    EXPECT_EQ(lookups, 340u);
+    EXPECT_EQ(memo.size(), 80u);
+}
+
+TEST(L1MemoDeathTest, ForeignContextPanics)
+{
+    const GpuConfig gpu;
+    const std::vector<Bytes> bytes = {mib(8)};
+    KernelDescriptor kd;
+    kd.buffers = {KernelBufferUse{}};
+    auto estimateWith =
+        [&](const std::function<void(KernelExecConfig &)> &edit) {
+            L1Memo memo(gpu, bytes, gpu.defaultSharedCarveout, 1);
+            KernelExecConfig ec;
+            ec.gpu = gpu;
+            ec.bufferBytes = bytes;
+            ec.l1Memo = &memo;
+            edit(ec);
+            KernelExecutor(std::move(ec)).estimateResident(kd);
+        };
+    // The matching context, carveout given explicitly or by default.
+    estimateWith([](KernelExecConfig &) {});
+    estimateWith([&](KernelExecConfig &ec) {
+        ec.sharedCarveout = gpu.defaultSharedCarveout;
+    });
+
+    EXPECT_DEATH(estimateWith([](KernelExecConfig &ec) {
+                     ec.bufferBytes = {mib(16)};
+                 }),
+                 "L1 memo");
+    EXPECT_DEATH(
+        estimateWith([](KernelExecConfig &ec) { ec.seed = 2; }),
+        "L1 memo");
+    EXPECT_DEATH(estimateWith([](KernelExecConfig &ec) {
+                     ec.sharedCarveout = kib(64);
+                 }),
+                 "L1 memo");
 }
 
 } // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/logging.hh"
 
 namespace uvmasync
@@ -50,6 +52,22 @@ TEST(Logging, WarnSuppressedWhenSilent)
     inform("this info is suppressed");
     debugLog("this debug line is suppressed");
     setLogLevel(before);
+}
+
+TEST(Logging, InformWritesToStderrOnly)
+{
+    // stdout carries data only (CSV, tables), so status lines must
+    // never interleave with it.
+    LogLevel before = logLevel();
+    setLogLevel(LogLevel::Inform);
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    inform("status %d", 7);
+    std::string out = testing::internal::GetCapturedStdout();
+    std::string err = testing::internal::GetCapturedStderr();
+    setLogLevel(before);
+    EXPECT_EQ(out, "");
+    EXPECT_EQ(err, "info: status 7\n");
 }
 
 TEST(LoggingDeathTest, PanicAborts)
