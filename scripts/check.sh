@@ -190,10 +190,33 @@ mkdir -p "$fsck_dir/state/batches"
     --jobs 1 --store "$fsck_dir/store" \
     --out "$fsck_dir/cold.csv" > /dev/null 2> /dev/null
 ./build/tools/uvmasync fsck "$fsck_dir/store" > /dev/null
-# Damage all three layers: tear the journal mid-record, flip a byte
-# inside the last store record, and orphan a daemon batch journal
-# that acks no payload.
-head -c -7 "$trace_out/j1.jsonl" > "$fsck_dir/run.jsonl"
+# Damage all three layers. The journal first gets one changed hex
+# digit inside its first record's first `runs` value: on its own,
+# fsck must report it (exit 1) and --resume must refuse it rather
+# than restore a wrong number. Then tear the journal mid-record, flip
+# a byte inside the last store record, and orphan a daemon batch
+# journal that acks no payload.
+cp "$trace_out/j1.jsonl" "$fsck_dir/digit.jsonl"
+digit=$(sed -n -E '2s/.*"runs":\[\["0x1\.([0-9a-f]).*/\1/p' \
+    "$fsck_dir/digit.jsonl")
+if [ "$digit" = 0 ]; then swap=1; else swap=0; fi
+sed -i -E "2s/(\"runs\":\[\[\"0x1\.)$digit/\1$swap/" \
+    "$fsck_dir/digit.jsonl"
+if cmp -s "$fsck_dir/digit.jsonl" "$trace_out/j1.jsonl"; then
+    echo "check.sh: the runs digit was not changed" >&2
+    exit 1
+fi
+fsck_rc=0
+./build/tools/uvmasync fsck "$fsck_dir/digit.jsonl" > /dev/null 2>&1 \
+    || fsck_rc=$?
+[ "$fsck_rc" = 1 ]
+if ./build/tools/uvmasync run --workload saxpy --size tiny --runs 2 \
+    --resume "$fsck_dir/digit.jsonl" --out "$fsck_dir/digit.csv" \
+    > /dev/null 2>&1; then
+    echo "check.sh: --resume restored a changed runs digit" >&2
+    exit 1
+fi
+head -c -7 "$fsck_dir/digit.jsonl" > "$fsck_dir/run.jsonl"
 shard_file=$(find "$fsck_dir/store/shards" -type f | sort | head -n 1)
 shard_size=$(wc -c < "$shard_file")
 printf 'Z' | dd of="$shard_file" bs=1 seek=$((shard_size - 2)) \
@@ -228,13 +251,17 @@ cmp "$fsck_dir/warm.csv" "$trace_out/ref.csv"
 if [ "$run_serve" = 1 ]; then
     echo "== serve: campaign daemon vs batch CLI =="
     # The daemon's streamed results must be byte-identical to the
-    # batch CLI's journal for the same batch — with three clients
+    # record payloads of the batch CLI's journal for the same batch — with three clients
     # racing, across a kill -9 plus journal truncation (simulated
     # mid-write crash), and on a warm resubmit served from the
     # shared store.
     serve_dir="$trace_out/serve"
     mkdir -p "$serve_dir"
-    tail -n +2 "$trace_out/j1.jsonl" > "$serve_dir/expected.jsonl"
+    # The stream carries the journal's record payloads: every line
+    # after the header, without its checksum frame.
+    tail -n +2 "$trace_out/j1.jsonl" \
+        | sed -E 's/^\{"crc":"[0-9a-f]{16}","rec":(.*)\}$/\1/' \
+        > "$serve_dir/expected.jsonl"
     ./build/tools/uvmasync-serve --socket "$serve_dir/sock" \
         --state "$serve_dir/state" --jobs 4 \
         --store "$serve_dir/store" > "$serve_dir/daemon.out" \

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/logging.hh"
+#include "common/stable_hash.hh"
 #include "inject/injector.hh"
 #include "sim/watchdog.hh"
 #include "workloads/registry.hh"
@@ -28,29 +29,6 @@ msSince(Clock::time_point start)
     return std::chrono::duration<double, std::milli>(Clock::now() -
                                                      start)
         .count();
-}
-
-/** Stable 64-bit FNV-1a over a byte range (machine-independent). */
-std::uint64_t
-fnv1a(const void *data, std::size_t size,
-      std::uint64_t h = 0xcbf29ce484222325ull)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        h ^= bytes[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-/** splitmix64 finalizer: diffuses a hash into a full 64-bit seed. */
-std::uint64_t
-mix64(std::uint64_t z)
-{
-    z += 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
 }
 
 /** 0 means "not set"; resolved lazily in globalJobs(). */
@@ -216,13 +194,12 @@ ParallelRunner::pointSeed(std::uint64_t baseSeed,
                           const std::string &workload,
                           TransferMode mode, std::uint32_t trial)
 {
-    std::uint64_t h = fnv1a(&baseSeed, sizeof(baseSeed));
-    h = fnv1a(workload.data(), workload.size(), h);
-    std::uint64_t m = static_cast<std::uint64_t>(mode);
-    h = fnv1a(&m, sizeof(m), h);
-    std::uint64_t t = trial;
-    h = fnv1a(&t, sizeof(t), h);
-    return mix64(h);
+    return StableHasher()
+        .u64(baseSeed)
+        .bytes(workload.data(), workload.size())
+        .u64(static_cast<std::uint64_t>(mode))
+        .u64(trial)
+        .hash();
 }
 
 std::vector<ExperimentPoint>

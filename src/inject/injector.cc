@@ -3,37 +3,10 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/stable_hash.hh"
 
 namespace uvmasync
 {
-
-namespace
-{
-
-/** FNV-1a over raw bytes; the stream-derivation hash. */
-std::uint64_t
-fnv1a(const void *data, std::size_t size,
-      std::uint64_t h = 0xcbf29ce484222325ull)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-/** splitmix64 finalizer: spreads structured hashes into seeds. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-} // namespace
 
 std::uint64_t
 InjectCounters::totalEvents() const
@@ -46,16 +19,14 @@ InjectCounters::totalEvents() const
 std::uint64_t
 injectSalt(std::uint64_t injectSeed, std::uint64_t pointSeed)
 {
-    std::uint64_t h = fnv1a(&injectSeed, sizeof(injectSeed));
-    h = fnv1a(&pointSeed, sizeof(pointSeed), h);
-    return mix64(h);
+    return StableHasher().u64(injectSeed).u64(pointSeed).hash();
 }
 
 Rng
 Injector::streamRng(std::uint64_t salt, Stream stream)
 {
-    std::uint64_t idx = static_cast<std::uint64_t>(stream);
-    return Rng(mix64(fnv1a(&idx, sizeof(idx), salt)));
+    return Rng(
+        StableHasher(salt).u64(static_cast<std::uint64_t>(stream)).hash());
 }
 
 Injector::Injector(const InjectPlan &plan, std::uint64_t salt)

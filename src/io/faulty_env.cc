@@ -4,25 +4,10 @@
 #include <cerrno>
 
 #include "common/rng.hh"
+#include "common/stable_hash.hh"
 
 namespace uvmasync
 {
-
-namespace
-{
-
-// splitmix64 finalizer — the same mix the injector's salt scheme and
-// the journal's config hasher use.
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-} // namespace
 
 std::uint64_t
 ioFaultSalt(std::uint64_t seed, std::uint64_t op)

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/logging.hh"
+#include "io/record_log.hh"
 #include "journal/journal.hh"
 #include "journal/json.hh"
 #include "serve/batch_spec.hh"
@@ -114,44 +115,39 @@ truncateRepair(Ctx &ctx, const std::string &path, std::uint64_t size,
     markRepaired(ctx, finding);
 }
 
-/**
- * Split @p contents into complete lines; a trailing fragment without
- * '\n' is a torn tail, reported with the offset to truncate to.
- */
-std::vector<std::string>
-splitLines(const std::string &contents, bool &tornTail,
-           std::uint64_t &intactEnd)
+/** Read @p path; false (with a Fatal finding) when unreadable. */
+bool
+readState(Ctx &ctx, const std::string &layer, const std::string &path,
+          std::string &contents)
 {
-    std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start < contents.size()) {
-        std::size_t nl = contents.find('\n', start);
-        if (nl == std::string::npos)
-            break;
-        lines.push_back(contents.substr(start, nl - start));
-        start = nl + 1;
-    }
-    tornTail = start < contents.size();
-    intactEnd = start;
-    return lines;
+    IoStatus rd = ctx.env.readFile(path, contents);
+    if (!rd.ok)
+        addFinding(ctx, FsckSeverity::Fatal, layer, path,
+                   "cannot read: " + rd.text());
+    return rd.ok;
+}
+
+std::string
+tornMessage(const RecordScan &scan)
+{
+    return "torn trailing record (" + std::to_string(scan.tornBytes) +
+           " byte(s) past the last intact line)";
 }
 
 /** What one journal walk learned (for cross-layer checks). */
 struct JournalScan
 {
     bool usable = false;          //!< header made sense
-    std::size_t points = 0;       //!< grid size per the header
     std::size_t distinct = 0;     //!< distinct point indices recorded
 };
 
 /**
- * Verify one journal file. With @p points the header must be
- * byte-identical to journalHeaderLine(points) and every record's
- * config hash must match its point (the serve cross-layer check);
- * without, the header is validated structurally. Repairs: corrupt or
- * out-of-grid record suffixes and torn tails are truncated away
- * (the clean prefix stays a valid resumable journal); an unusable
- * header quarantines the whole file.
+ * Verify one journal file. With @p points the header must equal
+ * journalHeaderLine(points) and every record's config hash must
+ * match its point (the serve cross-layer check); without, the header
+ * is parsed for its point count. Repairs: from the first bad record
+ * on, and a torn tail, are truncated away (the clean prefix stays a
+ * valid resumable journal); an unusable header quarantines the file.
  */
 JournalScan
 checkJournalFile(Ctx &ctx, const std::string &root,
@@ -159,162 +155,101 @@ checkJournalFile(Ctx &ctx, const std::string &root,
                  const std::vector<ExperimentPoint> *points,
                  const std::string &layer)
 {
-    JournalScan scan;
+    JournalScan result;
     ++ctx.report.journalsChecked;
-
     std::string contents;
-    IoStatus rd = ctx.env.readFile(path, contents);
-    if (!rd.ok) {
-        addFinding(ctx, FsckSeverity::Fatal, layer, path,
-                   "cannot read: " + rd.text());
-        return scan;
+    if (!readState(ctx, layer, path, contents))
+        return result;
+    RecordScan scan = scanRecordLog(contents);
+
+    // Header: the exact payload the grid produces when we have one,
+    // a parseable current-version header otherwise.
+    std::string problem;
+    std::size_t gridPoints = points ? points->size() : 0;
+    if (scan.records.empty()) {
+        problem = contents.empty() ? "empty journal (no header line)"
+                                   : "no intact header line (torn header)";
+    } else if (legacyJournal(contents)) {
+        problem = "format version 1 journal (no record checksums); "
+                  "this build cannot resume it";
+    } else if (!scan.records[0].ok()) {
+        problem = "line 1 is not a journal header (" +
+                  scan.records[0].error + ")";
+    } else if (points) {
+        if (scan.records[0].payload != journalHeaderLine(*points))
+            problem = "journal header does not match the batch "
+                      "payload's point grid (campaign mismatch)";
+    } else {
+        std::uint64_t campaign = 0;
+        std::string error;
+        if (!parseJournalHeader(scan.records[0].payload, campaign,
+                                gridPoints, error))
+            problem = "not a journal header (" + error + ")";
     }
-
-    bool tornTail = false;
-    std::uint64_t intactEnd = 0;
-    std::vector<std::string> lines =
-        splitLines(contents, tornTail, intactEnd);
-
-    if (lines.empty()) {
-        std::size_t f = addFinding(
-            ctx, FsckSeverity::Damage, layer, path,
-            contents.empty() ? "empty journal (no header line)"
-                             : "no intact header line (torn header)");
+    if (!problem.empty()) {
+        std::size_t f = addFinding(ctx, FsckSeverity::Damage, layer,
+                                   path, problem);
         if (ctx.opt.repair)
             quarantineFile(ctx, root, path, f);
-        return scan;
+        return result;
     }
+    result.usable = true;
 
-    // Header: exact bytes against the grid when we have one,
-    // structural shape otherwise.
-    std::vector<std::uint64_t> expectHashes;
-    if (points) {
-        if (lines[0] != journalHeaderLine(*points)) {
-            std::size_t f = addFinding(
-                ctx, FsckSeverity::Damage, layer, path,
-                "journal header does not match the batch payload's "
-                "point grid (campaign mismatch)");
-            if (ctx.opt.repair)
-                quarantineFile(ctx, root, path, f);
-            return scan;
-        }
-        scan.points = points->size();
-        expectHashes.reserve(points->size());
-        for (const ExperimentPoint &point : *points)
-            expectHashes.push_back(pointConfigHash(point));
-    } else {
-        JsonValue header;
-        std::string error;
-        std::uint64_t version = 0;
-        std::uint64_t pointCount = 0;
-        std::uint64_t campaign = 0;
-        const JsonValue *magic = nullptr;
-        const JsonValue *ver = nullptr;
-        const JsonValue *camp = nullptr;
-        const JsonValue *pts = nullptr;
-        bool ok = parseJson(lines[0], header, error) &&
-                  header.isObject() &&
-                  (magic = header.find("journal")) != nullptr &&
-                  magic->isString() && magic->text == "uvmasync" &&
-                  (ver = header.find("version")) != nullptr &&
-                  ver->asUint(version) && version == 1 &&
-                  (camp = header.find("campaign")) != nullptr &&
-                  camp->isString() &&
-                  parseHexU64(camp->text, campaign) &&
-                  (pts = header.find("points")) != nullptr &&
-                  pts->asUint(pointCount);
-        if (!ok) {
-            std::size_t f = addFinding(
-                ctx, FsckSeverity::Damage, layer, path,
-                "not a journal header" +
-                    (error.empty() ? "" : " (" + error + ")"));
-            if (ctx.opt.repair)
-                quarantineFile(ctx, root, path, f);
-            return scan;
-        }
-        scan.points = static_cast<std::size_t>(pointCount);
-    }
-    scan.usable = true;
-
-    // Records. On the first bad line the rest of the file cannot be
-    // trusted (resume refuses it wholesale); the repair keeps the
-    // clean prefix and truncates from the bad line on.
-    std::uint64_t offset = lines[0].size() + 1;
+    // Records. On the first bad one the rest of the file cannot be
+    // trusted (resume refuses it); the repair keeps the clean prefix
+    // and truncates from the bad record on.
     std::set<std::size_t> seen;
-    for (std::size_t i = 1; i < lines.size(); ++i) {
+    for (std::size_t i = 1; i < scan.records.size(); ++i) {
         ++ctx.report.recordsChecked;
+        const LogRecord &rec = scan.records[i];
         std::size_t index = 0;
         std::uint64_t configHash = 0;
         PointOutcome outcome;
-        std::string error;
-        std::string problem;
-        if (!parseJournalRecord(lines[i], index, configHash, outcome,
-                                error)) {
+        std::string error = rec.error;
+        if (rec.ok())
+            parseJournalRecord(rec.payload, index, configHash, outcome,
+                               error);
+        if (!error.empty()) {
             problem = "corrupt record (" + error + ")";
-        } else if (index >= scan.points) {
+        } else if (index >= gridPoints) {
             problem = "records point " + std::to_string(index) +
-                      " outside the " +
-                      std::to_string(scan.points) + "-point grid";
-        } else if (points && configHash != expectHashes[index]) {
-            problem = "config hash of point " +
-                      std::to_string(index) +
+                      " outside the " + std::to_string(gridPoints) +
+                      "-point grid";
+        } else if (points &&
+                   configHash != pointConfigHash((*points)[index])) {
+            problem = "config hash of point " + std::to_string(index) +
                       " does not match the batch payload";
         }
         if (!problem.empty()) {
-            std::size_t dropped = lines.size() - i;
             std::size_t f = addFinding(
                 ctx, FsckSeverity::Damage, layer, path,
                 "line " + std::to_string(i + 1) + " " + problem +
-                    "; " + std::to_string(dropped) +
+                    "; " + std::to_string(scan.records.size() - i) +
                     " record(s) from there on are untrusted");
             if (ctx.opt.repair)
-                truncateRepair(ctx, path, offset, f);
-            return scan;
+                truncateRepair(ctx, path, rec.offset, f);
+            return result;
         }
         seen.insert(index);
-        offset += lines[i].size() + 1;
     }
-    scan.distinct = seen.size();
+    result.distinct = seen.size();
 
-    if (tornTail) {
-        std::size_t f = addFinding(
-            ctx, FsckSeverity::Damage, layer, path,
-            "torn trailing record (" +
-                std::to_string(contents.size() - intactEnd) +
-                " byte(s) past the last intact line)");
+    if (scan.tornBytes > 0) {
+        std::size_t f = addFinding(ctx, FsckSeverity::Damage, layer,
+                                   path, tornMessage(scan));
         if (ctx.opt.repair)
-            truncateRepair(ctx, path, intactEnd, f);
+            truncateRepair(ctx, path, scan.intactEnd, f);
     }
-    return scan;
-}
-
-/** "sXX" (two lowercase hex digits) -> shard index. */
-bool
-shardIndexFromName(const std::string &name, std::size_t &shard)
-{
-    if (name.size() != 3 || name[0] != 's')
-        return false;
-    std::size_t value = 0;
-    for (std::size_t i = 1; i < name.size(); ++i) {
-        char c = name[i];
-        if (c >= '0' && c <= '9')
-            value = value * 16 + static_cast<std::size_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            value =
-                value * 16 + static_cast<std::size_t>(c - 'a' + 10);
-        else
-            return false;
-    }
-    shard = value;
-    return true;
+    return result;
 }
 
 /**
  * Verify one result-store directory: meta.json parses, every segment
- * header matches its shard, every record passes its checksum, no
- * torn tails. Repair quarantines a copy of every damaged segment
- * (bad headers move wholesale), then runs gcStore() to rewrite the
- * survivors intact-records-only and persist a repaired meta.json.
+ * header matches its shard, every record passes its checksum and
+ * parses, no torn tails. Repair quarantines a copy of every damaged
+ * segment (bad headers move wholesale), then runs gcStore() to
+ * rewrite the survivors intact-records-only and persist a repaired
+ * meta.json.
  */
 void
 checkStoreDir(Ctx &ctx, const std::string &dir)
@@ -342,70 +277,39 @@ checkStoreDir(Ctx &ctx, const std::string &dir)
     }
 
     // Segments, one finding per file.
-    std::vector<std::string> names;
     std::vector<std::size_t> rewriteFindings;
     bool needGc = false;
-    if (!ctx.env.listDir(dir + "/shards", names).ok)
-        names.clear(); // no shards directory = empty store
-    for (const std::string &name : names) {
-        std::size_t shard = 0;
-        if (!shardIndexFromName(name, shard))
-            continue;
-        std::string path = dir + "/shards/" + name;
+    for (const auto &[shard, path] : storeSegmentFiles(dir, ctx.env)) {
         std::string contents;
-        IoStatus rd = ctx.env.readFile(path, contents);
-        if (!rd.ok) {
-            addFinding(ctx, FsckSeverity::Fatal, layer, path,
-                       "cannot read: " + rd.text());
+        if (!readState(ctx, layer, path, contents))
             continue;
-        }
-        bool tornTail = false;
-        std::uint64_t intactEnd = 0;
-        std::vector<std::string> lines =
-            splitLines(contents, tornTail, intactEnd);
+        StoreSegment seg = scanStoreSegment(contents, shard);
 
-        if (lines.empty() ||
-            lines[0] != storeSegmentHeaderLine(shard)) {
+        if (!seg.headerOk) {
             std::size_t f = addFinding(
                 ctx, FsckSeverity::Damage, layer, path,
-                lines.empty() ? "segment has no intact header line"
-                              : "segment header does not match "
-                                "shard " +
-                                    std::to_string(shard));
+                seg.log.records.empty()
+                    ? "segment has no intact header line"
+                    : "segment header does not match shard " +
+                          std::to_string(shard));
             if (ctx.opt.repair)
                 quarantineFile(ctx, dir, path, f);
             continue;
         }
-
-        std::size_t corrupt = 0;
-        std::string firstError;
-        for (std::size_t i = 1; i < lines.size(); ++i) {
-            ++ctx.report.recordsChecked;
-            std::uint64_t fp = 0;
-            std::uint64_t key = 0;
-            ExperimentResult result;
-            std::string error;
-            if (!parseStoreRecord(lines[i], fp, key, result,
-                                  error)) {
-                ++corrupt;
-                if (firstError.empty())
-                    firstError = "line " + std::to_string(i + 1) +
-                                 ": " + error;
-            }
-        }
-        if (corrupt > 0) {
+        ctx.report.recordsChecked += seg.log.records.size() - 1;
+        if (seg.corrupt > 0) {
             std::size_t f = addFinding(
                 ctx, FsckSeverity::Damage, layer, path,
-                std::to_string(corrupt) +
+                std::to_string(seg.corrupt) +
                     " record(s) fail checksum/parse (first: " +
-                    firstError + ")");
+                    seg.firstError + ")");
             if (ctx.opt.repair) {
                 // Preserve the damaged bytes before gcStore drops
                 // the bad records from the live segment.
                 IoStatus st = ctx.env.makeDir(dir + "/quarantine");
                 if (st.ok)
                     st = ctx.env.writeFileDurable(
-                        dir + "/quarantine/" + name, contents);
+                        dir + "/quarantine/" + baseName(path), contents);
                 if (!st.ok) {
                     repairFailed(ctx, layer, path,
                                  "cannot quarantine a copy", st);
@@ -416,12 +320,10 @@ checkStoreDir(Ctx &ctx, const std::string &dir)
                 }
             }
         }
-        if (tornTail) {
-            std::size_t f = addFinding(
-                ctx, FsckSeverity::Damage, layer, path,
-                "torn trailing record (" +
-                    std::to_string(contents.size() - intactEnd) +
-                    " byte(s) past the last intact line)");
+        if (seg.log.tornBytes > 0) {
+            std::size_t f = addFinding(ctx, FsckSeverity::Damage,
+                                       layer, path,
+                                       tornMessage(seg.log));
             if (ctx.opt.repair) {
                 rewriteFindings.push_back(f);
                 needGc = true;

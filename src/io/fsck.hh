@@ -4,28 +4,33 @@
  * durable state the journal, the result store, and the campaign
  * daemon leave on disk.
  *
- * One fsckPath() call auto-detects what a path holds and runs every
- * applicable check:
+ * All three layers write the same checksummed record log
+ * (io/record_log.hh), so fsck is one record-level check —
+ * scanRecordLog, the frame verification every reader uses — plus
+ * each layer's semantic checks. One fsckPath() call auto-detects what
+ * a path holds and runs every applicable check:
  *
  *  - a daemon state directory (has batches/): each batch's payload
  *    must parse, its journal header must be byte-identical to the
  *    header the payload's point grid produces, every record must
- *    parse with an in-range point index and the matching config
- *    hash, a torn tail is flagged, orphaned journals/markers without
- *    a payload are flagged, handle-sequence gaps and
+ *    verify and parse with an in-range point index and the matching
+ *    config hash, a torn tail is flagged, orphaned journals/markers
+ *    without a payload are flagged, handle-sequence gaps and
  *    cancelled-but-complete contradictions are noted;
  *  - a result-store directory (has meta.json or shards/): meta must
- *    parse, every segment header must match its shard, every record
- *    must pass its checksum, torn tails are flagged;
- *  - a standalone journal file: header shape, record parse, index
- *    bounds against the header's point count, torn tail.
+ *    parse, every segment (scanStoreSegment) must carry its shard's
+ *    header and records that verify and parse, torn tails are
+ *    flagged;
+ *  - a standalone journal file: a current-version header, record
+ *    verify and parse, index bounds against the header's point
+ *    count, torn tail. A version-1 journal (no checksums) is damage.
  *
  * With FsckOptions::repair the repairable findings are fixed in
  * place: torn tails are truncated back to the last intact line,
- * corrupt suffixes are truncated away (the clean prefix stays a
- * valid resumable journal), and unrecoverable files (bad headers,
- * unparseable payloads, orphans) are moved — never deleted — into a
- * quarantine/ subdirectory beside the damage.
+ * a journal is truncated at its first bad record (the clean prefix
+ * stays a valid resumable journal), and unrecoverable files (bad or
+ * version-1 headers, unparseable payloads, orphans) are moved —
+ * never deleted — into a quarantine/ subdirectory beside the damage.
  *
  * Exit-code contract (FsckReport::exitCode):
  *
@@ -93,7 +98,7 @@ struct FsckReport
     std::size_t journalsChecked = 0; //!< journal files walked
     std::size_t storesChecked = 0;   //!< store directories walked
     std::size_t batchesChecked = 0;  //!< daemon batches walked
-    std::size_t recordsChecked = 0;  //!< record lines parsed
+    std::size_t recordsChecked = 0;  //!< records verified
     std::size_t repairsApplied = 0;  //!< findings fixed in place
     std::size_t quarantined = 0;     //!< files moved to quarantine/
 

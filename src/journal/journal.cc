@@ -1,9 +1,8 @@
 #include "journal/journal.hh"
 
-#include <cinttypes>
-#include <cstring>
-
 #include "common/logging.hh"
+#include "common/stable_hash.hh"
+#include "io/record_log.hh"
 #include "journal/json.hh"
 #include "workloads/size_class.hh"
 
@@ -13,60 +12,10 @@ namespace uvmasync
 namespace
 {
 
-constexpr int journalVersion = 1;
+constexpr int journalVersion = 2;
 
-// Same FNV-1a / splitmix64 combination the ParallelRunner uses for
-// point seeds: stable across platforms, no std::hash.
-std::uint64_t
-fnv1a(std::uint64_t h, const void *data, std::size_t len)
-{
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-/** Accumulates configuration fields into one FNV-1a state. */
-class ConfigHasher
-{
-  public:
-    void
-    str(const std::string &s)
-    {
-        h_ = fnv1a(h_, s.data(), s.size());
-        h_ = fnv1a(h_, "\0", 1); // unambiguous field boundary
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        h_ = fnv1a(h_, &v, sizeof(v));
-    }
-
-    void
-    f64(double v)
-    {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
-    }
-
-    std::uint64_t hash() const { return mix64(h_); }
-
-  private:
-    std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
+/** How every journal header line starts, in any format version. */
+constexpr const char journalMagicPrefix[] = "{\"journal\":\"uvmasync\"";
 
 bool
 parsePointStatus(const std::string &text, PointStatus &out)
@@ -236,7 +185,7 @@ readResultJson(const JsonValue &v, ExperimentResult &out)
 std::uint64_t
 pointConfigHash(const ExperimentPoint &point)
 {
-    ConfigHasher h;
+    StableHasher h;
     h.str(point.workload);
     h.str(transferModeName(point.mode));
     const ExperimentOptions &o = point.opts;
@@ -280,12 +229,10 @@ pointConfigHash(const ExperimentPoint &point)
 std::uint64_t
 campaignHash(const std::vector<ExperimentPoint> &points)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const ExperimentPoint &point : points) {
-        std::uint64_t ph = pointConfigHash(point);
-        h = fnv1a(h, &ph, sizeof(ph));
-    }
-    return mix64(h);
+    StableHasher h;
+    for (const ExperimentPoint &point : points)
+        h.u64(pointConfigHash(point));
+    return h.hash();
 }
 
 std::string
@@ -412,31 +359,73 @@ parseJournalRecord(const std::string &line, std::size_t &index,
     return true;
 }
 
+bool
+parseJournalHeader(const std::string &payload, std::uint64_t &campaign,
+                   std::size_t &points, std::string &error)
+{
+    JsonValue v;
+    if (!parseJson(payload, v, error))
+        return false;
+    const JsonValue *magic = v.find("journal");
+    if (!magic || !magic->isString() || magic->text != "uvmasync") {
+        error = "not a journal header";
+        return false;
+    }
+    const JsonValue *version = v.find("version");
+    std::uint64_t ver = 0;
+    if (!version || !version->asUint(ver) ||
+        ver != static_cast<std::uint64_t>(journalVersion)) {
+        error = strfmt("format version %s, this build reads %d",
+                       version ? version->text.c_str() : "?",
+                       journalVersion);
+        return false;
+    }
+    const JsonValue *camp = v.find("campaign");
+    const JsonValue *pts = v.find("points");
+    std::uint64_t count = 0;
+    if (!camp || !camp->isString() ||
+        !parseHexU64(camp->text, campaign) || !pts ||
+        !pts->asUint(count)) {
+        error = "missing/invalid 'campaign'/'points'";
+        return false;
+    }
+    points = static_cast<std::size_t>(count);
+    return true;
+}
+
+bool
+legacyJournal(const std::string &contents)
+{
+    return contents.compare(0, sizeof(journalMagicPrefix) - 1,
+                            journalMagicPrefix) == 0;
+}
+
+RunJournal::RunJournal(const std::string &path,
+                       const std::vector<ExperimentPoint> &points,
+                       IoEnv &env)
+    : path_(path), log_(env, path, RecordAppender::Durability::Sync),
+      points_(points), restored_(points.size())
+{
+    configHashes_.reserve(points.size());
+    for (const ExperimentPoint &point : points)
+        configHashes_.push_back(pointConfigHash(point));
+}
+
 std::unique_ptr<RunJournal>
 RunJournal::create(const std::string &path,
                    const std::vector<ExperimentPoint> &points,
                    IoEnv &env)
 {
-    std::unique_ptr<RunJournal> journal(new RunJournal());
-    journal->path_ = path;
-    journal->env_ = &env;
-    journal->points_ = points;
-    journal->configHashes_.reserve(points.size());
-    for (const ExperimentPoint &point : points)
-        journal->configHashes_.push_back(pointConfigHash(point));
-    journal->restored_.resize(points.size());
-
-    IoStatus st;
-    journal->file_ = env.openTrunc(path, st);
-    if (!journal->file_)
+    std::unique_ptr<RunJournal> journal(
+        new RunJournal(path, points, env));
+    IoStatus st = journal->log_.open(0);
+    if (!st.ok)
         fatal("journal: cannot open '%s' for writing: %s",
               path.c_str(), st.text().c_str());
-    std::string header = journalHeaderLine(points);
-    st = journal->appendLine(header);
+    st = journal->log_.append(journalHeaderLine(points));
     if (!st.ok)
         fatal("journal: cannot write header of '%s': %s",
               path.c_str(), st.text().c_str());
-    journal->goodBytes_ = header.size() + 1;
     return journal;
 }
 
@@ -450,62 +439,57 @@ RunJournal::resume(const std::string &path,
     if (!readSt.ok)
         fatal("journal: cannot open '%s' for resume: %s",
               path.c_str(), readSt.text().c_str());
+    if (legacyJournal(contents))
+        fatal("journal: '%s' was written in format version 1, which "
+              "has no record checksums; this build resumes only "
+              "version %d. Rerun without --resume (or delete the "
+              "journal) to start fresh.",
+              path.c_str(), journalVersion);
 
-    // Split into lines; a final line without '\n' was cut mid-append
-    // by a crash and is re-run rather than trusted.
-    std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start < contents.size()) {
-        std::size_t nl = contents.find('\n', start);
-        if (nl == std::string::npos)
-            break; // truncated trailing record — drop it
-        lines.push_back(contents.substr(start, nl - start));
-        start = nl + 1;
-    }
-    if (lines.empty())
+    // A final line without '\n' was cut mid-append by a crash: the
+    // scan never returns it, and reopening cuts it off.
+    RecordScan scan = scanRecordLog(contents);
+    if (scan.records.empty())
         fatal("journal: '%s' has no intact header line; delete it "
               "and rerun without --resume",
               path.c_str());
 
-    std::string expectHeader = journalHeaderLine(points);
-    if (lines[0] != expectHeader) {
-        // Distinguish "not a journal" from "different campaign" for
-        // a usable error message.
-        JsonValue header;
-        std::string jsonError;
-        std::string campaign = "?";
-        if (parseJson(lines[0], header, jsonError)) {
-            if (const JsonValue *c = header.find("campaign"))
-                campaign = c->text;
-        }
-        fatal("journal: '%s' was written for a different campaign "
-              "(journal campaign %s, current grid %s over %zu "
-              "points); the workload grid, options, or inject plan "
-              "changed. Rerun without --resume (or delete the "
-              "journal) to start fresh.",
-              path.c_str(), campaign.c_str(),
-              hexU64(campaignHash(points)).c_str(), points.size());
+    const LogRecord &head = scan.records[0];
+    if (!head.ok() || head.payload != journalHeaderLine(points)) {
+        std::uint64_t campaign = 0;
+        std::size_t count = 0;
+        std::string error = head.error;
+        if (head.ok() &&
+            parseJournalHeader(head.payload, campaign, count, error))
+            fatal("journal: '%s' was written for a different "
+                  "campaign (journal campaign %s, current grid %s "
+                  "over %zu points); the workload grid, options, or "
+                  "inject plan changed. Rerun without --resume (or "
+                  "delete the journal) to start fresh.",
+                  path.c_str(), hexU64(campaign).c_str(),
+                  hexU64(campaignHash(points)).c_str(), points.size());
+        fatal("journal: '%s' line 1 is not a usable journal header "
+              "(%s); delete it and rerun without --resume",
+              path.c_str(), error.c_str());
     }
 
-    std::unique_ptr<RunJournal> journal(new RunJournal());
-    journal->path_ = path;
-    journal->env_ = &env;
-    journal->points_ = points;
-    journal->configHashes_.reserve(points.size());
-    for (const ExperimentPoint &point : points)
-        journal->configHashes_.push_back(pointConfigHash(point));
-    journal->restored_.resize(points.size());
-
-    for (std::size_t i = 1; i < lines.size(); ++i) {
+    std::unique_ptr<RunJournal> journal(
+        new RunJournal(path, points, env));
+    for (std::size_t i = 1; i < scan.records.size(); ++i) {
+        const LogRecord &rec = scan.records[i];
         std::size_t index = 0;
         std::uint64_t configHash = 0;
         auto outcome = std::make_unique<PointOutcome>();
-        std::string error;
-        if (!parseJournalRecord(lines[i], index, configHash, *outcome,
-                                error))
-            fatal("journal: '%s' line %zu is corrupt (%s); delete "
-                  "the journal and rerun without --resume",
-                  path.c_str(), i + 1, error.c_str());
+        std::string error = rec.error;
+        if (rec.ok())
+            parseJournalRecord(rec.payload, index, configHash,
+                               *outcome, error);
+        if (!error.empty())
+            fatal("journal: '%s' line %zu is corrupt (%s), so no "
+                  "record from there on can be trusted. Run "
+                  "`uvmasync fsck --repair %s` to cut the journal "
+                  "back to its intact records, then resume again.",
+                  path.c_str(), i + 1, error.c_str(), path.c_str());
         if (index >= points.size() ||
             configHash != journal->configHashes_[index])
             fatal("journal: '%s' line %zu records point %zu with a "
@@ -517,41 +501,17 @@ RunJournal::resume(const std::string &path,
         journal->restored_[index] = std::move(outcome);
     }
 
-    // Drop any partial trailing line, then reopen for appending
-    // after the last intact record. The file is NOT rewritten:
-    // intact records keep their exact bytes, so an interrupted-then-
-    // resumed journal is byte-identical to an uninterrupted one up
-    // to the dropped partial line.
-    std::uint64_t intactEnd = static_cast<std::uint64_t>(start);
-    IoStatus st = env.truncateFile(path, intactEnd);
+    // Append after the last intact record. Intact records keep their
+    // exact bytes, so an interrupted-then-resumed journal is
+    // byte-identical to an uninterrupted one.
+    IoStatus st = journal->log_.open(scan.intactEnd);
     if (!st.ok)
-        fatal("journal: cannot truncate '%s': %s", path.c_str(),
-              st.text().c_str());
-    journal->file_ = env.openAppend(path, st);
-    if (!journal->file_)
         fatal("journal: cannot reopen '%s' for appending: %s",
               path.c_str(), st.text().c_str());
-    journal->goodBytes_ = intactEnd;
     return journal;
 }
 
 RunJournal::~RunJournal() = default;
-
-IoStatus
-RunJournal::appendLine(const std::string &line)
-{
-    UVMASYNC_ASSERT(file_, "journal file not open");
-    // One write per record (payload + '\n') so a failed append tears
-    // at most one line, then flush + fsync: the journal is the
-    // crash-safety contract, so a committed point must survive a
-    // kill -9.
-    std::string framed = line;
-    framed += '\n';
-    IoStatus st = file_->write(framed);
-    if (st.ok)
-        st = file_->sync();
-    return st;
-}
 
 bool
 RunJournal::restore(std::size_t index, PointOutcome &out)
@@ -570,23 +530,12 @@ bool
 RunJournal::commit(std::size_t index, PointOutcome &out)
 {
     UVMASYNC_ASSERT(index < points_.size(), "point index out of range");
-    if (writeFailed_)
+    if (log_.failed())
         return false; // sticky: one hard error ends journaling
-    std::string line = journalRecordLine(index, configHashes_[index],
-                                         points_[index], out);
-    IoStatus st = appendLine(line);
-    if (!st.ok) {
-        // Degrade, don't die: close the file, then best-effort
-        // truncate away any torn partial record so what remains on
-        // disk is a clean resumable prefix of intact records.
-        writeFailed_ = true;
-        writeError_ = st.text();
-        file_.reset();
-        env_->truncateFile(path_, goodBytes_);
-        return false;
-    }
-    goodBytes_ += line.size() + 1;
-    return true;
+    return log_
+        .append(journalRecordLine(index, configHashes_[index],
+                                  points_[index], out))
+        .ok;
 }
 
 } // namespace uvmasync

@@ -1,7 +1,8 @@
 /**
  * @file
- * Crash-safe run journal: an append-only, fsync'd JSONL write-ahead
- * log of per-point experiment outcomes.
+ * Crash-safe run journal: an append-only, fsync'd write-ahead log of
+ * per-point experiment outcomes on the checksummed record log
+ * (io/record_log.hh).
  *
  * The ParallelRunner commits outcomes in submission order (the same
  * merge that makes `--jobs N` output byte-identical to `--jobs 1`),
@@ -10,13 +11,19 @@
  * or a kill at an arbitrary line boundary — loses at most the
  * in-flight suffix, and `--resume` replays the rest.
  *
- * Every record carries the point's configuration hash; resume
- * validates each restored record (and the header's campaign hash)
- * against the live point grid and refuses a stale journal with an
- * actionable fatal instead of silently mixing results from two
- * different campaigns. Simulated results round-trip exactly: doubles
- * are stored as %a hexfloat strings, so a resumed sweep's merged CSV
- * is byte-identical to an uninterrupted run.
+ * Format version 2: line 1 is the framed header (campaign hash and
+ * point count), every later line one framed terminal record. Every
+ * record carries the point's configuration hash; resume validates
+ * each restored record (and the header's campaign hash) against the
+ * live point grid and refuses a stale journal with an actionable
+ * fatal instead of silently mixing results from two campaigns. A
+ * record whose checksum fails stops resume at that line with a
+ * pointer to `uvmasync fsck --repair`, which cuts the journal back to
+ * its intact prefix; a torn final line is dropped. Version-1 journals
+ * (no checksums) are refused, never read. Simulated results
+ * round-trip exactly: doubles are stored as %a hexfloat strings, so a
+ * resumed sweep's merged CSV is byte-identical to an uninterrupted
+ * run.
  */
 
 #ifndef UVMASYNC_JOURNAL_JOURNAL_HH
@@ -28,6 +35,7 @@
 
 #include "core/parallel_runner.hh"
 #include "io/io_env.hh"
+#include "io/record_log.hh"
 #include "journal/json.hh"
 
 namespace uvmasync
@@ -65,11 +73,11 @@ class RunJournal : public PointJournal
 
     /**
      * Reopen an interrupted journal: validates the header against
-     * @p points (campaign hash and point count), loads every intact
-     * terminal record (a truncated trailing line is tolerated and
-     * dropped), and reopens the file for appending the remainder.
-     * fatal() with an actionable message when the journal belongs to
-     * a different campaign or is unreadable.
+     * @p points (campaign hash and point count), loads every terminal
+     * record (a torn trailing line is dropped), and reopens the file
+     * for appending the remainder. fatal() with an actionable message
+     * when the journal is unreadable, a version-1 journal, belongs to
+     * a different campaign, or holds a record that fails its checksum.
      */
     static std::unique_ptr<RunJournal>
     resume(const std::string &path,
@@ -98,24 +106,19 @@ class RunJournal : public PointJournal
     std::size_t restoredCount() const { return restoredCount_; }
 
     /** True once a write error has made the journal inert. */
-    bool writeFailed() const { return writeFailed_; }
+    bool writeFailed() const { return log_.failed(); }
 
     /** errno text of the write error that made the journal inert. */
-    const std::string &writeError() const { return writeError_; }
+    const std::string &writeError() const { return log_.error(); }
 
     const std::string &path() const { return path_; }
 
   private:
-    RunJournal() = default;
-
-    IoStatus appendLine(const std::string &line);
+    RunJournal(const std::string &path,
+               const std::vector<ExperimentPoint> &points, IoEnv &env);
 
     std::string path_;
-    IoEnv *env_ = nullptr;
-    std::unique_ptr<IoFile> file_;
-    std::uint64_t goodBytes_ = 0; //!< bytes known durable + intact
-    bool writeFailed_ = false;
-    std::string writeError_;
+    RecordAppender log_; //!< fsyncs every record
     std::vector<ExperimentPoint> points_;
     std::vector<std::uint64_t> configHashes_;
 
@@ -134,7 +137,10 @@ void writeResultJson(JsonWriter &w, const ExperimentResult &r);
 bool readResultJson(const JsonValue &v, ExperimentResult &out);
 /** @} */
 
-/** @{ Record serialization (exposed for tests). */
+/** @{
+ * Record payloads (what the record log frames). The daemon streams
+ * record payloads, and clients parse them with parseJournalRecord.
+ */
 std::string journalHeaderLine(const std::vector<ExperimentPoint> &points);
 std::string journalRecordLine(std::size_t index, std::uint64_t configHash,
                               const ExperimentPoint &point,
@@ -142,7 +148,15 @@ std::string journalRecordLine(std::size_t index, std::uint64_t configHash,
 bool parseJournalRecord(const std::string &line, std::size_t &index,
                         std::uint64_t &configHash, PointOutcome &outcome,
                         std::string &error);
+
+/** Parse a current-version header payload; false + @p error if not. */
+bool parseJournalHeader(const std::string &payload,
+                        std::uint64_t &campaign, std::size_t &points,
+                        std::string &error);
 /** @} */
+
+/** True when @p contents starts like a version-1 (unframed) journal. */
+bool legacyJournal(const std::string &contents);
 
 } // namespace uvmasync
 

@@ -176,14 +176,6 @@ JsonWriter::hex(double v)
     return value(hexDouble(v));
 }
 
-JsonWriter &
-JsonWriter::raw(const std::string &json)
-{
-    comma();
-    out_ += json;
-    return *this;
-}
-
 // --- reader -------------------------------------------------------
 
 const JsonValue *

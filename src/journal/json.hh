@@ -67,14 +67,6 @@ class JsonWriter
     /** A double, encoded as an exact hexfloat string. */
     JsonWriter &hex(double v);
 
-    /**
-     * Splice an already-serialized JSON value verbatim (the result
-     * store embeds the exact byte string its record checksum was
-     * computed over). The caller vouches that @p json is one
-     * well-formed value.
-     */
-    JsonWriter &raw(const std::string &json);
-
     const std::string &str() const { return out_; }
 
   private:

@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "common/logging.hh"
+#include "io/record_log.hh"
 #include "journal/journal.hh"
 #include "journal/json.hh"
 #include "store/fingerprint.hh"
@@ -16,31 +17,24 @@ namespace
 {
 
 /**
- * Complete ('\n'-terminated) lines of a journal file after the
- * header. A trailing fragment — a torn append — is never returned:
- * the stream only ever carries bytes the journal fsync'd, so a chunk
- * once served can never change or disappear.
+ * The verified record payloads of a batch journal, header excluded:
+ * the intact prefix of its record log. Recovery and stream() both
+ * read exactly this, so they agree by construction. A record that
+ * fails its checksum ends the prefix and a torn tail is never
+ * returned, so a record once served never changes or disappears: the
+ * journal syncs each record before the point's merge callback fires.
  */
 std::vector<std::string>
-journalRecordLines(IoEnv &io, const std::string &path)
+journalRecordPayloads(IoEnv &io, const std::string &path)
 {
-    std::vector<std::string> records;
+    std::vector<std::string> payloads;
     std::string contents;
     if (!io.readFile(path, contents).ok)
-        return records;
-    std::size_t start = 0;
-    bool header = true;
-    while (start < contents.size()) {
-        std::size_t nl = contents.find('\n', start);
-        if (nl == std::string::npos)
-            break; // torn tail
-        if (header)
-            header = false;
-        else
-            records.push_back(contents.substr(start, nl - start + 1));
-        start = nl + 1;
-    }
-    return records;
+        return payloads;
+    RecordScan scan = scanRecordLog(contents);
+    for (std::size_t i = 1; i < scan.intact; ++i)
+        payloads.push_back(std::move(scan.records[i].payload));
+    return payloads;
 }
 
 /** PointCache wrapper serializing store access against stats polls. */
@@ -223,9 +217,8 @@ ServeDaemon::recover()
         // Rebuild progress counters from the journal's intact
         // records; the journal is also what stream() serves, so
         // status and stream agree by construction.
-        std::vector<std::string> records =
-            journalRecordLines(io_, journalPath(handle));
-        for (const std::string &line : records) {
+        for (const std::string &line :
+             journalRecordPayloads(io_, journalPath(handle))) {
             std::size_t index = 0;
             std::uint64_t configHash = 0;
             PointOutcome outcome;
@@ -339,7 +332,7 @@ ServeDaemon::stream(BatchHandle handle, std::size_t fromRecord,
         state = it->second->state;
     }
     std::vector<std::string> records =
-        journalRecordLines(io_, journalPath(handle));
+        journalRecordPayloads(io_, journalPath(handle));
     out = StreamChunk{};
     out.state = state;
     out.terminal = batchStateTerminal(state);
@@ -347,6 +340,7 @@ ServeDaemon::stream(BatchHandle handle, std::size_t fromRecord,
         fromRecord = records.size();
     for (std::size_t i = fromRecord; i < records.size(); ++i) {
         out.lines += records[i];
+        out.lines += '\n';
         ++out.records;
     }
     out.nextRecord = records.size();

@@ -16,9 +16,10 @@
  *
  *  - every admitted batch owns a RunJournal under the state
  *    directory, so a daemon kill at ANY point resumes every
- *    in-flight campaign on restart, and the journal's record lines
- *    ARE the client-visible result stream (byte-identical to what
- *    `uvmasync run --journal` writes for the same batch);
+ *    in-flight campaign on restart, and the verified payloads of
+ *    the journal's records ARE the client-visible result stream
+ *    (byte-identical to the record payloads `uvmasync run --journal`
+ *    writes for the same batch);
  *  - one shared ResultStore serves as the cross-client cache — a
  *    batch one tenant already paid for is a pure replay for the
  *    next tenant;
@@ -38,7 +39,7 @@
  * unfinished work before the first client connects.
  *
  * No wall-clock anywhere: scheduling is queue order, recovery order
- * is handle order, and the result stream is the journal bytes —
+ * is handle order, and the result stream is the journal's payloads —
  * determinism_lint.sh enforces the ban for src/serve like it does
  * for src/journal and src/store.
  */
@@ -138,7 +139,7 @@ struct BatchStatus
 /** One streamResults() chunk. */
 struct StreamChunk
 {
-    /** Journal record lines ('\n'-terminated, submission order). */
+    /** Journal record payloads ('\n'-terminated, submission order). */
     std::string lines;
 
     /** Records contained in @p lines. */
@@ -218,11 +219,12 @@ class ServeDaemon
 
     /**
      * Read the batch's result stream from record @p fromRecord on:
-     * whatever complete journal record lines exist right now. The
-     * journal is fsync'd before a point's merge callback fires, so a
-     * line once visible never changes — clients may chunk at any
-     * pace, across daemon restarts, and concatenated chunks are
-     * byte-identical to the batch CLI's journal records.
+     * the payloads of the journal's verified record prefix right now
+     * (a record failing its checksum ends the prefix, exactly as at
+     * recovery). The journal is fsync'd before a point's merge
+     * callback fires, so a line once visible never changes — clients
+     * may chunk at any pace, across daemon restarts, and concatenated
+     * chunks are byte-identical to the batch CLI's journal payloads.
      */
     bool stream(BatchHandle handle, std::size_t fromRecord,
                 StreamChunk &out, std::string &error) const;

@@ -7,7 +7,7 @@
  * and a 1-byte frame type — followed by the payload. Payloads reuse
  * the repo's existing exchange formats verbatim: batch submissions
  * are the KV jobfile text (common/kv_config.hh), result streams are
- * the journal's strict-JSON hexfloat record lines
+ * the journal's strict-JSON hexfloat record payloads, one per line
  * (journal/journal.hh), and status/stats replies are KV text again.
  * The codec adds no serialization of its own, so everything that
  * crosses the socket round-trips byte-exactly through layers that
@@ -37,7 +37,7 @@ enum class FrameType : std::uint8_t
     Status,      //!< client -> daemon: "batch=<hex16>"
     StatusOk,    //!< daemon -> client: KV status block
     Stream,      //!< client -> daemon: "batch=<hex16>\nfrom=N\nwait=0|1"
-    StreamChunk, //!< daemon -> client: journal record lines
+    StreamChunk, //!< daemon -> client: journal record payloads
     StreamEnd,   //!< daemon -> client: "state=<slug>"
     Cancel,      //!< client -> daemon: "batch=<hex16>"
     CancelOk,    //!< daemon -> client: "state=<slug>"

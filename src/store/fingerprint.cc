@@ -1,69 +1,14 @@
 #include "store/fingerprint.hh"
 
-#include <cstring>
+#include "common/stable_hash.hh"
 
 namespace uvmasync
 {
 
-namespace
-{
-
-// Same FNV-1a / splitmix64 combination as pointConfigHash: stable
-// across platforms, no std::hash.
-std::uint64_t
-fnv1a(std::uint64_t h, const void *data, std::size_t len)
-{
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-/**
- * Field-by-field accumulator. Never hash struct memory directly:
- * padding bytes are indeterminate and would make the fingerprint
- * compiler-dependent.
- */
-class FieldHasher
-{
-  public:
-    void
-    u64(std::uint64_t v)
-    {
-        h_ = fnv1a(h_, &v, sizeof(v));
-    }
-
-    void
-    f64(double v)
-    {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
-    }
-
-    std::uint64_t hash() const { return mix64(h_); }
-
-  private:
-    std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
-} // namespace
-
 std::uint64_t
 modelSemanticsFingerprint(const SystemConfig &s)
 {
-    FieldHasher h;
+    StableHasher h;
     h.u64(modelSemanticsVersion);
 
     const HostMemoryConfig &host = s.host;

@@ -1,8 +1,10 @@
 #include "store/result_store.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/logging.hh"
+#include "io/record_log.hh"
 #include "journal/journal.hh"
 #include "journal/json.hh"
 
@@ -14,38 +16,6 @@ namespace
 
 constexpr const char *storeMagic = "uvmasync-store";
 constexpr const char *shardMagic = "uvmasync-shard";
-
-std::uint64_t
-fnv1a(std::uint64_t h, const void *data, std::size_t len)
-{
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-/** Checksum of one record's addressed content + serialized result. */
-std::uint64_t
-recordChecksum(std::uint64_t fingerprint, std::uint64_t key,
-               const std::string &resultJson)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    h = fnv1a(h, &fingerprint, sizeof(fingerprint));
-    h = fnv1a(h, &key, sizeof(key));
-    h = fnv1a(h, resultJson.data(), resultJson.size());
-    return mix64(h);
-}
 
 std::string
 metaPath(const std::string &dir)
@@ -63,13 +33,6 @@ std::string
 shardPath(const std::string &dir, std::size_t shard)
 {
     return shardDir(dir) + "/s" + hexU64(shard).substr(14);
-}
-
-/** Whole-file read; false when the file does not exist/open. */
-bool
-readFileContents(IoEnv &env, const std::string &path, std::string &out)
-{
-    return env.readFile(path, out).ok;
 }
 
 /** "sXX" (two lowercase hex digits) -> shard index. */
@@ -93,54 +56,12 @@ shardIndexFromName(const std::string &name, std::size_t &shard)
     return true;
 }
 
-/**
- * Existing segment files as (shard, path), shard-ordered. One
- * listDir instead of 256 per-path probes: fewer syscalls, and the
- * fault enumerator's op count stays proportional to real work.
- */
-std::vector<std::pair<std::size_t, std::string>>
-listShardFiles(IoEnv &env, const std::string &dir)
-{
-    std::vector<std::pair<std::size_t, std::string>> files;
-    std::vector<std::string> names;
-    if (!env.listDir(shardDir(dir), names).ok)
-        return files; // no shards directory = empty store
-    for (const std::string &name : names) {
-        std::size_t shard = 0;
-        if (shardIndexFromName(name, shard))
-            files.emplace_back(shard, shardDir(dir) + "/" + name);
-    }
-    return files;
-}
-
-/**
- * Split @p contents into complete lines. A trailing fragment without
- * '\n' (a torn append) is NOT returned; @p tornTail reports it and
- * @p intactEnd is the offset the file should be truncated to.
- */
-std::vector<std::string>
-splitLines(const std::string &contents, bool &tornTail,
-           std::size_t &intactEnd)
-{
-    std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start < contents.size()) {
-        std::size_t nl = contents.find('\n', start);
-        if (nl == std::string::npos)
-            break;
-        lines.push_back(contents.substr(start, nl - start));
-        start = nl + 1;
-    }
-    tornTail = start < contents.size();
-    intactEnd = start;
-    return lines;
-}
-
 struct MetaData
 {
     std::uint64_t clock = 0;
     std::vector<std::uint64_t> fingerprints;
-    std::vector<std::uint64_t> lastUse; //!< size shardCount when ok
+    std::vector<std::uint64_t> lastUse =
+        std::vector<std::uint64_t>(ResultStore::shardCount, 0);
     std::uint64_t lifetimeLookups = 0;
     std::uint64_t lifetimeHits = 0;
     std::uint64_t lifetimeStored = 0;
@@ -243,6 +164,27 @@ parseMetaLine(const std::string &line, MetaData &out,
     return true;
 }
 
+/**
+ * Load meta.json. On failure @p meta is the empty default and
+ * @p error says why (missing, empty, not a store, other version).
+ */
+bool
+readMeta(IoEnv &env, const std::string &dir, MetaData &meta,
+         std::string &error)
+{
+    std::string contents;
+    bool ok = false;
+    if (!env.readFile(metaPath(dir), contents).ok)
+        error = "missing meta.json";
+    else if (contents.empty())
+        error = "empty meta.json";
+    else
+        ok = parseMetaLine(contents, meta, error);
+    if (!ok)
+        meta = MetaData{};
+    return ok;
+}
+
 /** Atomic meta rewrite: temp file + rename. */
 IoStatus
 tryWriteMetaFile(IoEnv &env, const std::string &dir,
@@ -261,23 +203,48 @@ writeMetaFile(IoEnv &env, const std::string &dir,
               metaPath(dir).c_str(), st.text().c_str());
 }
 
-bool
-parseShardHeader(const std::string &line, std::size_t shard)
+/**
+ * Rewrite every segment keeping the intact records whose fingerprint
+ * @p keep accepts; a segment left without records is removed and its
+ * LRU stamp cleared. Kept records keep their exact bytes. Counts the
+ * records dropped (rejected, corrupt, under a bad header, or torn)
+ * and the bytes read into @p gc; returns each shard's bytes after.
+ */
+std::vector<std::uint64_t>
+rewriteSegments(IoEnv &env, const std::string &dir, MetaData &meta,
+                const std::function<bool(std::uint64_t)> &keep,
+                StoreGcResult &gc)
 {
-    JsonValue v;
-    std::string error;
-    if (!parseJson(line, v, error) || !v.isObject())
-        return false;
-    const JsonValue *magic = v.find("store");
-    const JsonValue *version = v.find("version");
-    const JsonValue *idx = v.find("shard");
-    std::uint64_t ver = 0;
-    std::uint64_t i = 0;
-    return magic && magic->isString() && magic->text == shardMagic &&
-           version && version->asUint(ver) &&
-           ver == static_cast<std::uint64_t>(
-                      ResultStore::formatVersion) &&
-           idx && idx->asUint(i) && i == shard;
+    std::vector<std::uint64_t> bytesAfter(ResultStore::shardCount, 0);
+    for (const auto &[shard, path] : storeSegmentFiles(dir, env)) {
+        std::string contents;
+        if (!env.readFile(path, contents).ok)
+            continue;
+        gc.bytesBefore += contents.size();
+        StoreSegment seg = scanStoreSegment(contents, shard);
+        std::string rewritten =
+            frameRecord(storeSegmentHeaderLine(shard));
+        std::size_t kept = 0;
+        for (const StoreSegment::Entry &e : seg.entries) {
+            if (!keep(e.fingerprint))
+                continue;
+            rewritten += frameRecord(seg.log.records[e.line].payload);
+            ++kept;
+        }
+        gc.droppedRecords += seg.corrupt + (seg.entries.size() - kept) +
+                             (seg.log.tornBytes > 0 ? 1 : 0);
+        if (kept == 0) {
+            env.removeFile(path);
+            meta.lastUse[shard] = 0;
+            continue;
+        }
+        IoStatus st = env.writeFileAtomic(path, rewritten);
+        if (!st.ok)
+            fatal("store: cannot replace '%s': %s", path.c_str(),
+                  st.text().c_str());
+        bytesAfter[shard] = rewritten.size();
+    }
+    return bytesAfter;
 }
 
 } // namespace
@@ -299,15 +266,12 @@ std::string
 storeRecordLine(std::uint64_t fingerprint, std::uint64_t key,
                 const ExperimentResult &result)
 {
-    JsonWriter payload;
-    writeResultJson(payload, result);
     JsonWriter w;
     w.beginObject();
     w.key("fp").value(hexU64(fingerprint));
     w.key("key").value(hexU64(key));
-    w.key("crc").value(
-        hexU64(recordChecksum(fingerprint, key, payload.str())));
-    w.key("result").raw(payload.str());
+    w.key("result");
+    writeResultJson(w, result);
     w.endObject();
     return w.str();
 }
@@ -320,36 +284,65 @@ parseStoreRecord(const std::string &line, std::uint64_t &fingerprint,
     JsonValue v;
     if (!parseJson(line, v, error))
         return false;
-    if (!v.isObject()) {
-        error = "record is not an object";
-        return false;
-    }
     const JsonValue *fp = v.find("fp");
     const JsonValue *k = v.find("key");
-    const JsonValue *crc = v.find("crc");
     const JsonValue *res = v.find("result");
-    std::uint64_t wantCrc = 0;
     if (!fp || !fp->isString() || !parseHexU64(fp->text, fingerprint) ||
-        !k || !k->isString() || !parseHexU64(k->text, key) || !crc ||
-        !crc->isString() || !parseHexU64(crc->text, wantCrc) || !res) {
-        error = "missing/invalid 'fp'/'key'/'crc'/'result'";
+        !k || !k->isString() || !parseHexU64(k->text, key) || !res) {
+        error = "missing/invalid 'fp'/'key'/'result'";
         return false;
     }
     if (!readResultJson(*res, result)) {
         error = "missing/invalid 'result'";
         return false;
     }
-    // Verify the checksum against the *re-serialized* result: the
-    // writer embedded exactly these bytes, so any flipped byte that
-    // survives parsing (a digit in a hexfloat, a counter value, a
-    // name) changes the round-tripped serialization and is caught.
-    JsonWriter payload;
-    writeResultJson(payload, result);
-    if (recordChecksum(fingerprint, key, payload.str()) != wantCrc) {
-        error = "checksum mismatch";
-        return false;
-    }
     return true;
+}
+
+std::vector<std::pair<std::size_t, std::string>>
+storeSegmentFiles(const std::string &dir, IoEnv &env)
+{
+    // One listDir instead of 256 per-path probes: fewer syscalls, and
+    // the fault enumerator's op count stays proportional to real work.
+    std::vector<std::pair<std::size_t, std::string>> files;
+    std::vector<std::string> names;
+    if (!env.listDir(shardDir(dir), names).ok)
+        return files; // no shards directory = empty store
+    for (const std::string &name : names) {
+        std::size_t shard = 0;
+        if (shardIndexFromName(name, shard))
+            files.emplace_back(shard, shardDir(dir) + "/" + name);
+    }
+    return files;
+}
+
+StoreSegment
+scanStoreSegment(const std::string &contents, std::size_t shard)
+{
+    StoreSegment seg;
+    seg.log = scanRecordLog(contents);
+    const std::vector<LogRecord> &records = seg.log.records;
+    seg.headerOk = !records.empty() && records[0].ok() &&
+                   records[0].payload == storeSegmentHeaderLine(shard);
+    if (!seg.headerOk) {
+        seg.corrupt = records.size();
+        return seg;
+    }
+    for (std::size_t i = 1; i < records.size(); ++i) {
+        StoreSegment::Entry e;
+        e.line = i;
+        std::string error = records[i].error;
+        if (records[i].ok())
+            parseStoreRecord(records[i].payload, e.fingerprint, e.key,
+                             e.result, error);
+        if (error.empty()) {
+            seg.entries.push_back(std::move(e));
+        } else if (seg.corrupt++ == 0) {
+            seg.firstError =
+                "line " + std::to_string(i + 1) + ": " + error;
+        }
+    }
+    return seg;
 }
 
 std::size_t
@@ -387,27 +380,12 @@ ResultStore::open(const std::string &dir, std::uint64_t fingerprint,
               dir.c_str());
 
     MetaData meta;
-    meta.lastUse.assign(shardCount, 0);
-    if (haveMeta) {
-        std::string contents;
-        IoStatus rd = env.readFile(metaPath(dir), contents);
-        if (!rd.ok)
-            fatal("store: cannot read '%s': %s",
-                  metaPath(dir).c_str(), rd.text().c_str());
-        bool torn = false;
-        std::size_t intactEnd = 0;
-        std::vector<std::string> lines =
-            splitLines(contents, torn, intactEnd);
-        std::string error;
-        if (lines.empty() ||
-            !parseMetaLine(lines[0], meta, error))
-            fatal("store: '%s' is not a usable result store (%s); "
-                  "delete the directory or run `uvmasync store "
-                  "invalidate --store %s` to start fresh",
-                  metaPath(dir).c_str(),
-                  lines.empty() ? "empty meta.json" : error.c_str(),
-                  dir.c_str());
-    }
+    std::string metaError;
+    if (haveMeta && !readMeta(env, dir, meta, metaError))
+        fatal("store: '%s' is not a usable result store (%s); "
+              "delete the directory or run `uvmasync store "
+              "invalidate --store %s` to start fresh",
+              metaPath(dir).c_str(), metaError.c_str(), dir.c_str());
 
     store->clock_ = meta.clock;
     store->knownFingerprints_ = meta.fingerprints;
@@ -438,7 +416,7 @@ ResultStore::open(const std::string &dir, std::uint64_t fingerprint,
             fingerprint);
     }
 
-    for (const auto &entry : listShardFiles(env, dir)) {
+    for (const auto &entry : storeSegmentFiles(dir, env)) {
         if (entry.first < shardCount)
             store->loadShard(entry.first, entry.second);
     }
@@ -450,43 +428,29 @@ void
 ResultStore::loadShard(std::size_t shard, const std::string &path)
 {
     std::string contents;
-    if (!readFileContents(*env_, path, contents))
+    if (!env_->readFile(path, contents).ok)
         return; // absent segment = empty shard
-    bool torn = false;
-    std::size_t intactEnd = 0;
-    std::vector<std::string> lines =
-        splitLines(contents, torn, intactEnd);
-
-    Shard &sh = shards_[shard];
-    if (lines.empty() || !parseShardHeader(lines[0], shard)) {
-        // Unusable header: quarantine the whole segment. Writable
-        // stores rewrite it from scratch on the next insert.
-        stats_.corruptRecords += lines.size();
+    StoreSegment seg = scanStoreSegment(contents, shard);
+    // A record that fails its checksum or does not parse is counted
+    // and treated as a miss: it is never served.
+    stats_.corruptRecords += seg.corrupt;
+    if (!seg.headerOk) {
+        // Unusable header: drop the whole segment. Writable stores
+        // rewrite it from scratch on the next insert.
         if (!opt_.readonly)
             env_->removeFile(path);
         return;
     }
-    for (std::size_t i = 1; i < lines.size(); ++i) {
-        std::uint64_t fp = 0;
-        std::uint64_t key = 0;
-        ExperimentResult result;
-        std::string error;
-        if (!parseStoreRecord(lines[i], fp, key, result, error)) {
-            // A flipped byte (or any malformed line) is counted and
-            // treated as a miss — the record is never served.
-            ++stats_.corruptRecords;
-            continue;
-        }
-        sh.entries.emplace(std::make_pair(key, fp),
-                           std::move(result));
-    }
-    sh.bytes = intactEnd;
-    if (torn) {
+    Shard &sh = shards_[shard];
+    for (StoreSegment::Entry &e : seg.entries)
+        sh.entries.emplace(std::make_pair(e.key, e.fingerprint),
+                           std::move(e.result));
+    sh.bytes = contents.size() - seg.log.tornBytes;
+    if (seg.log.tornBytes > 0) {
         ++stats_.tornTails;
         if (!opt_.readonly) {
             // Drop the torn append so the segment is clean again.
-            IoStatus st = env_->truncateFile(
-                path, static_cast<std::uint64_t>(intactEnd));
+            IoStatus st = env_->truncateFile(path, sh.bytes);
             if (!st.ok)
                 warn("store: cannot truncate torn tail of '%s': %s",
                      path.c_str(), st.text().c_str());
@@ -578,21 +542,14 @@ ResultStore::noteWriteError(std::size_t shard, const IoStatus &st)
     // A hard append error (disk full, EIO) disables the shard for
     // the rest of the session: the cache degrades to pass-through
     // for these keys instead of corrupting the segment tail with
-    // repeated partial appends. The file is closed and truncated
-    // back to its last intact record (best effort), so what remains
-    // on disk still loads clean.
-    std::string path = shardPath(dir_, shard);
+    // repeated partial appends. The record log has already cut the
+    // file back to its last intact record, so it still loads clean.
     Shard &sh = shards_[shard];
     ++stats_.writeErrors;
-    sh.writeFailed = true;
-    sh.file.reset();
-    if (sh.bytes == 0)
-        env_->removeFile(path); // a headerless stub would not load
-    else
-        env_->truncateFile(path, sh.bytes);
+    sh.bytes = sh.log->bytes();
     warn("store: write to segment '%s' failed (%s); shard disabled "
          "for this session, results for it will not be cached",
-         path.c_str(), st.text().c_str());
+         shardPath(dir_, shard).c_str(), st.text().c_str());
 }
 
 void
@@ -602,44 +559,29 @@ ResultStore::insert(std::uint64_t key, const ExperimentResult &result)
         return;
     std::size_t shard = shardOf(key);
     Shard &sh = shards_[shard];
-    if (sh.writeFailed)
+    if (sh.log && sh.log->failed())
         return; // hard error earlier: decline further offers
     auto mapKey = std::make_pair(key, fingerprint_);
     if (sh.entries.count(mapKey))
         return; // dedup keeps segment bytes deterministic
 
-    std::string path = shardPath(dir_, shard);
-    if (!sh.file) {
-        bool fresh = sh.bytes == 0;
-        IoStatus st;
-        sh.file = fresh ? env_->openTrunc(path, st)
-                        : env_->openAppend(path, st);
-        if (!sh.file) {
-            noteWriteError(shard, st);
-            return;
-        }
-        if (fresh) {
-            std::string header = storeSegmentHeaderLine(shard) + "\n";
-            st = sh.file->write(header);
-            if (!st.ok) {
-                noteWriteError(shard, st);
-                return;
-            }
-            sh.bytes += header.size();
-        }
+    // No fsync: the store is a cache, not the crash-safety contract
+    // (that is the journal); a torn tail costs one re-simulation.
+    IoStatus st;
+    if (!sh.log) {
+        sh.log.emplace(*env_, shardPath(dir_, shard),
+                       RecordAppender::Durability::Flush);
+        st = sh.log->open(sh.bytes);
+        if (st.ok && sh.bytes == 0)
+            st = sh.log->append(storeSegmentHeaderLine(shard));
     }
-    std::string line = storeRecordLine(fingerprint_, key, result);
-    line += "\n";
-    IoStatus st = sh.file->write(line);
     if (st.ok)
-        st = sh.file->flush();
+        st = sh.log->append(storeRecordLine(fingerprint_, key, result));
     if (!st.ok) {
         noteWriteError(shard, st);
         return;
     }
-    // No fsync: the store is a cache, not the crash-safety contract
-    // (that is the journal); a torn tail costs one re-simulation.
-    sh.bytes += line.size();
+    sh.bytes = sh.log->bytes();
     sh.entries.emplace(mapKey, result);
     ++stats_.stored;
     ++stats_.lifetimeStored;
@@ -666,7 +608,8 @@ ResultStore::enforceBudget(std::size_t protectedShard)
         if (victim == shardCount)
             return;
         Shard &sh = shards_[victim];
-        sh.file.reset();
+        if (sh.log && !sh.log->failed())
+            sh.log.reset(); // a failed shard stays disabled
         env_->removeFile(shardPath(dir_, victim));
         ++stats_.evictedSegments;
         stats_.evictedBytes += sh.bytes;
@@ -727,61 +670,29 @@ surveyStore(const std::string &dir, IoEnv &env)
     if (!env.exists(dir))
         fatal("store: '%s' does not exist", dir.c_str());
     StoreSurvey survey;
-    std::string contents;
-    if (!readFileContents(env, metaPath(dir), contents)) {
-        survey.metaError = "missing meta.json";
-    } else {
-        bool torn = false;
-        std::size_t intactEnd = 0;
-        std::vector<std::string> lines =
-            splitLines(contents, torn, intactEnd);
-        MetaData meta;
-        std::string error;
-        if (lines.empty()) {
-            survey.metaError = "empty meta.json";
-        } else if (!parseMetaLine(lines[0], meta, error)) {
-            survey.metaError = error;
-        } else {
-            survey.metaOk = true;
-            survey.clock = meta.clock;
-            survey.fingerprints = meta.fingerprints;
-            survey.lifetimeLookups = meta.lifetimeLookups;
-            survey.lifetimeHits = meta.lifetimeHits;
-            survey.lifetimeStored = meta.lifetimeStored;
-            survey.lastRunLookups = meta.lastRunLookups;
-            survey.lastRunHits = meta.lastRunHits;
-        }
-    }
+    MetaData meta;
+    survey.metaOk = readMeta(env, dir, meta, survey.metaError);
+    survey.clock = meta.clock;
+    survey.fingerprints = meta.fingerprints;
+    survey.lifetimeLookups = meta.lifetimeLookups;
+    survey.lifetimeHits = meta.lifetimeHits;
+    survey.lifetimeStored = meta.lifetimeStored;
+    survey.lastRunLookups = meta.lastRunLookups;
+    survey.lastRunHits = meta.lastRunHits;
 
-    for (const auto &entry : listShardFiles(env, dir)) {
-        std::size_t s = entry.first;
-        std::string contents2;
-        if (!readFileContents(env, entry.second, contents2))
+    for (const auto &[shard, path] : storeSegmentFiles(dir, env)) {
+        std::string contents;
+        if (!env.readFile(path, contents).ok)
             continue;
         ++survey.segments;
-        survey.bytes += contents2.size();
-        bool torn = false;
-        std::size_t intactEnd = 0;
-        std::vector<std::string> lines =
-            splitLines(contents2, torn, intactEnd);
-        if (torn)
+        survey.bytes += contents.size();
+        StoreSegment seg = scanStoreSegment(contents, shard);
+        if (seg.log.tornBytes > 0)
             ++survey.tornTails;
-        if (lines.empty() || !parseShardHeader(lines[0], s)) {
+        if (!seg.headerOk)
             ++survey.badHeaders;
-            survey.corruptRecords +=
-                lines.empty() ? 0 : lines.size() - 1;
-            continue;
-        }
-        for (std::size_t i = 1; i < lines.size(); ++i) {
-            std::uint64_t fp = 0;
-            std::uint64_t key = 0;
-            ExperimentResult result;
-            std::string error;
-            if (parseStoreRecord(lines[i], fp, key, result, error))
-                ++survey.records;
-            else
-                ++survey.corruptRecords;
-        }
+        survey.corruptRecords += seg.corrupt;
+        survey.records += seg.entries.size();
     }
     return survey;
 }
@@ -792,70 +703,13 @@ gcStore(const std::string &dir, std::uint64_t maxBytes, IoEnv &env)
     if (!env.exists(dir))
         fatal("store: '%s' does not exist", dir.c_str());
     StoreGcResult gc;
-
     MetaData meta;
-    meta.lastUse.assign(ResultStore::shardCount, 0);
-    {
-        std::string contents;
-        std::string error;
-        bool torn = false;
-        std::size_t intactEnd = 0;
-        if (readFileContents(env, metaPath(dir), contents)) {
-            std::vector<std::string> lines =
-                splitLines(contents, torn, intactEnd);
-            if (lines.empty() ||
-                !parseMetaLine(lines[0], meta, error)) {
-                meta = MetaData{};
-                meta.lastUse.assign(ResultStore::shardCount, 0);
-            }
-        }
-    }
+    std::string error;
+    readMeta(env, dir, meta, error); // an unusable meta is rebuilt
 
     // Pass 1: rewrite each segment keeping only intact records.
-    std::vector<std::uint64_t> shardBytes(ResultStore::shardCount, 0);
-    for (const auto &entry : listShardFiles(env, dir)) {
-        std::size_t s = entry.first;
-        const std::string &path = entry.second;
-        std::string contents;
-        if (!readFileContents(env, path, contents))
-            continue;
-        gc.bytesBefore += contents.size();
-        bool torn = false;
-        std::size_t intactEnd = 0;
-        std::vector<std::string> lines =
-            splitLines(contents, torn, intactEnd);
-        std::string rewritten = storeSegmentHeaderLine(s) + "\n";
-        std::size_t kept = 0;
-        bool headerOk = !lines.empty() && parseShardHeader(lines[0], s);
-        for (std::size_t i = headerOk ? 1 : 0;
-             headerOk && i < lines.size(); ++i) {
-            std::uint64_t fp = 0;
-            std::uint64_t key = 0;
-            ExperimentResult result;
-            std::string error;
-            if (parseStoreRecord(lines[i], fp, key, result, error)) {
-                rewritten += lines[i];
-                rewritten += "\n";
-                ++kept;
-            } else {
-                ++gc.droppedRecords;
-            }
-        }
-        if (!headerOk)
-            gc.droppedRecords += lines.size();
-        if (torn)
-            ++gc.droppedRecords;
-        if (kept == 0) {
-            env.removeFile(path);
-            meta.lastUse[s] = 0;
-            continue;
-        }
-        IoStatus st = env.writeFileAtomic(path, rewritten);
-        if (!st.ok)
-            fatal("store: cannot replace '%s': %s", path.c_str(),
-                  st.text().c_str());
-        shardBytes[s] = rewritten.size();
-    }
+    std::vector<std::uint64_t> shardBytes = rewriteSegments(
+        env, dir, meta, [](std::uint64_t) { return true; }, gc);
 
     // Pass 2: enforce the byte budget by meta-clock LRU.
     if (maxBytes > 0) {
@@ -896,75 +750,15 @@ invalidateStore(const std::string &dir,
 {
     if (!env.exists(dir))
         fatal("store: '%s' does not exist", dir.c_str());
-
     MetaData meta;
-    meta.lastUse.assign(ResultStore::shardCount, 0);
-    {
-        std::string contents;
-        std::string error;
-        bool torn = false;
-        std::size_t intactEnd = 0;
-        if (readFileContents(env, metaPath(dir), contents)) {
-            std::vector<std::string> lines =
-                splitLines(contents, torn, intactEnd);
-            if (lines.empty() ||
-                !parseMetaLine(lines[0], meta, error)) {
-                meta = MetaData{};
-                meta.lastUse.assign(ResultStore::shardCount, 0);
-            }
-        }
-    }
+    std::string error;
+    readMeta(env, dir, meta, error);
 
-    std::size_t dropped = 0;
-    for (const auto &entry : listShardFiles(env, dir)) {
-        std::size_t s = entry.first;
-        const std::string &path = entry.second;
-        std::string contents;
-        if (!readFileContents(env, path, contents))
-            continue;
-        if (!fingerprint) {
-            bool torn = false;
-            std::size_t intactEnd = 0;
-            std::vector<std::string> lines =
-                splitLines(contents, torn, intactEnd);
-            dropped += lines.empty() ? 0 : lines.size() - 1;
-            env.removeFile(path);
-            meta.lastUse[s] = 0;
-            continue;
-        }
-        bool torn = false;
-        std::size_t intactEnd = 0;
-        std::vector<std::string> lines =
-            splitLines(contents, torn, intactEnd);
-        std::string rewritten = storeSegmentHeaderLine(s) + "\n";
-        std::size_t kept = 0;
-        bool headerOk = !lines.empty() && parseShardHeader(lines[0], s);
-        for (std::size_t i = 1; headerOk && i < lines.size(); ++i) {
-            std::uint64_t fp = 0;
-            std::uint64_t key = 0;
-            ExperimentResult result;
-            std::string error;
-            if (parseStoreRecord(lines[i], fp, key, result, error) &&
-                fp != *fingerprint) {
-                rewritten += lines[i];
-                rewritten += "\n";
-                ++kept;
-            } else {
-                ++dropped;
-            }
-        }
-        if (!headerOk)
-            dropped += lines.size();
-        if (kept == 0) {
-            env.removeFile(path);
-            meta.lastUse[s] = 0;
-            continue;
-        }
-        IoStatus st = env.writeFileAtomic(path, rewritten);
-        if (!st.ok)
-            fatal("store: cannot replace '%s': %s", path.c_str(),
-                  st.text().c_str());
-    }
+    StoreGcResult gc;
+    rewriteSegments(
+        env, dir, meta,
+        [&](std::uint64_t fp) { return fingerprint && fp != *fingerprint; },
+        gc);
 
     if (fingerprint) {
         meta.fingerprints.erase(
@@ -973,10 +767,9 @@ invalidateStore(const std::string &dir,
             meta.fingerprints.end());
     } else {
         meta = MetaData{};
-        meta.lastUse.assign(ResultStore::shardCount, 0);
     }
     writeMetaFile(env, dir, meta);
-    return dropped;
+    return gc.droppedRecords;
 }
 
 TextTable

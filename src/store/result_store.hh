@@ -15,19 +15,23 @@
  *   meta.json         one strict-JSON line: magic, format version,
  *                     the logical LRU clock, the fingerprints ever
  *                     written, per-shard last-use stamps and
- *                     lifetime/last-run counters
- *   shards/sXX.jsonl  256 append-only segment files (XX = low byte of
- *                     the config hash in hex), each a header line
- *                     plus one record line per entry in the journal's
- *                     strict JSON/hexfloat layout
+ *                     lifetime/last-run counters; rewritten
+ *                     atomically, never appended
+ *   shards/sXX        256 append-only segment files (XX = low byte of
+ *                     the config hash in hex), each a record log
+ *                     (io/record_log.hh): a framed header line plus
+ *                     one framed record per entry, the result in the
+ *                     journal's strict JSON/hexfloat layout
  *
- * Every record carries a checksum over its own serialized bytes; a
- * flipped byte is detected at load, counted, and treated as a miss —
- * never served. A torn trailing line (a crash mid-append) is dropped,
- * and truncated away when the store is writable. Unlike the journal
+ * Every line carries the record log's checksum over its exact
+ * payload bytes. A record that fails it (or does not parse) is
+ * counted in corrupt_records and treated as a miss — never served.
+ * A torn trailing line (a crash mid-append) is dropped, and
+ * truncated away when the store is writable. Unlike the journal
  * there is no per-record fsync: the store is a cache, not a
  * crash-safety contract, and the worst a lost tail costs is a
- * re-simulation.
+ * re-simulation. Format version 2 introduced the frame; a version-1
+ * store is refused at open with the format-version message.
  *
  * Eviction is LRU by segment under a byte budget. The LRU clock is a
  * *logical* counter (persisted in meta.json), never wall-clock time:
@@ -43,6 +47,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,6 +55,7 @@
 #include "common/table.hh"
 #include "core/parallel_runner.hh"
 #include "io/io_env.hh"
+#include "io/record_log.hh"
 
 namespace uvmasync
 {
@@ -109,7 +115,7 @@ struct StoreStats
 class ResultStore
 {
   public:
-    static constexpr int formatVersion = 1;
+    static constexpr int formatVersion = 2;
     static constexpr std::size_t shardCount = 256;
 
     /**
@@ -174,8 +180,9 @@ class ResultStore
                  ExperimentResult>
             entries;
         std::uint64_t bytes = 0;
-        std::unique_ptr<IoFile> file; //!< open lazily for append
-        bool writeFailed = false; //!< hard error: decline offers
+        /** Opened lazily on the first insert; once failed, the shard
+         *  declines further offers. */
+        std::optional<RecordAppender> log;
     };
 
     std::string dir_;
@@ -216,7 +223,7 @@ class StorePointCache : public PointCache
     std::vector<std::uint64_t> keys_;
 };
 
-/** @{ Record serialization (exposed for tests). */
+/** @{ Record payloads (what the record log frames). */
 std::string storeSegmentHeaderLine(std::size_t shard);
 std::string storeRecordLine(std::uint64_t fingerprint,
                             std::uint64_t key,
@@ -225,6 +232,41 @@ bool parseStoreRecord(const std::string &line,
                       std::uint64_t &fingerprint, std::uint64_t &key,
                       ExperimentResult &result, std::string &error);
 /** @} */
+
+/** One segment file, scanned, verified and parsed. */
+struct StoreSegment
+{
+    struct Entry
+    {
+        std::size_t line = 0; //!< index into log.records
+        std::uint64_t fingerprint = 0;
+        std::uint64_t key = 0;
+        ExperimentResult result;
+    };
+
+    RecordScan log;
+    bool headerOk = false; //!< line 1 is this shard's header
+
+    /** Records that verified and parsed, in file order. */
+    std::vector<Entry> entries;
+
+    /** Lines that failed (every line, under a bad header). */
+    std::size_t corrupt = 0;
+
+    /** "line N: why" for the first bad record after the header. */
+    std::string firstError;
+};
+
+/** Existing segment files of @p dir as (shard, path), shard order. */
+std::vector<std::pair<std::size_t, std::string>>
+storeSegmentFiles(const std::string &dir, IoEnv &env = realIoEnv());
+
+/**
+ * Verify one segment file's bytes against @p shard. The one reader
+ * behind store load, `store stats`/`verify`, gc, invalidate and fsck.
+ */
+StoreSegment scanStoreSegment(const std::string &contents,
+                              std::size_t shard);
 
 /** Offline inspection of a store directory (`store stats`/`verify`). */
 struct StoreSurvey

@@ -6,6 +6,7 @@
 
 #include "analysis/passes.hh"
 #include "common/logging.hh"
+#include "common/stable_hash.hh"
 
 namespace uvmasync
 {
@@ -210,6 +211,16 @@ Job
 loadJobFile(const std::string &path)
 {
     return jobFromConfig(KvConfig::fromFile(path));
+}
+
+std::uint64_t
+jobFileBaseSeed(const std::string &contents, bool pinned)
+{
+    StableHasher h;
+    h.bytes(contents.data(), contents.size());
+    if (pinned)
+        h.bytes("\x01", 1);
+    return h.state();
 }
 
 } // namespace uvmasync

@@ -37,6 +37,7 @@
 #ifndef UVMASYNC_WORKLOADS_JOB_LOADER_HH
 #define UVMASYNC_WORKLOADS_JOB_LOADER_HH
 
+#include <cstdint>
 #include <string>
 
 #include "analysis/diagnostic.hh"
@@ -59,6 +60,14 @@ Job jobFromConfig(const KvConfig &kv,
 
 /** Build a Job from a description file. */
 Job loadJobFile(const std::string &path);
+
+/**
+ * The journal/store identity of a job file's content: the raw FNV-1a
+ * state over its bytes, with one more 0x01 byte when the run uses
+ * pinned host memory (pinning changes transfer costs). Editing the
+ * file therefore invalidates a stale journal or store entry.
+ */
+std::uint64_t jobFileBaseSeed(const std::string &contents, bool pinned);
 
 } // namespace uvmasync
 

@@ -28,6 +28,7 @@
 #include "gpu/transfer_mode.hh"
 #include "io/fsck.hh"
 #include "io/io_env.hh"
+#include "io/record_log.hh"
 #include "journal/journal.hh"
 #include "journal/json.hh"
 #include "serve/batch_spec.hh"
@@ -342,6 +343,38 @@ TEST(FsckJournal, UnusableHeaderIsQuarantinedNotDeleted)
     EXPECT_EQ(readFileOr(dir + "/quarantine/garbled.jsonl"),
               "not a journal at all\n");
     EXPECT_TRUE(realIoEnv().exists(dir + "/quarantine/empty.jsonl"));
+    removeTree(dir);
+}
+
+TEST(FsckJournal, Version1JournalIsDamageAndQuarantined)
+{
+    // The unframed version-1 format is damage, not a second format
+    // to verify: --repair moves it aside like any unusable header.
+    std::string dir = tmpPath("journal_v1");
+    removeTree(dir);
+    std::vector<ExperimentPoint> grid = smallGrid(42);
+    std::string path = buildJournal(dir, "run.jsonl", grid, 2);
+    std::string legacy;
+    for (const LogRecord &rec : scanRecordLog(readFileOr(path)).records)
+        legacy += rec.payload + "\n";
+    std::size_t version = legacy.find("\"version\":2");
+    ASSERT_NE(version, std::string::npos);
+    legacy[version + 10] = '1';
+    writeFileRaw(path, legacy);
+
+    FsckReport found = fsckPath(path);
+    EXPECT_EQ(found.exitCode(), 1);
+    ASSERT_EQ(found.findings.size(), 1u);
+    EXPECT_NE(found.findings[0].message.find("format version 1"),
+              std::string::npos)
+        << found.findings[0].message;
+
+    FsckOptions repair;
+    repair.repair = true;
+    FsckReport fixed = fsckPath(path, repair);
+    EXPECT_EQ(fixed.exitCode(), 0);
+    EXPECT_EQ(fixed.quarantined, 1u);
+    EXPECT_EQ(readFileOr(dir + "/quarantine/run.jsonl"), legacy);
     removeTree(dir);
 }
 

@@ -32,8 +32,10 @@
 #include "gpu/transfer_mode.hh"
 #include "io/faulty_env.hh"
 #include "io/io_env.hh"
+#include "io/record_log.hh"
 #include "journal/journal.hh"
 #include "journal/json.hh"
+#include "serve/batch_spec.hh"
 #include "serve/daemon.hh"
 #include "store/result_store.hh"
 #include "workloads/registry.hh"
@@ -807,6 +809,179 @@ TEST(IoFaultDeathTest, UnwindingPastFailedWritersDoesNotTerminate)
             std::exit(0);
         },
         ::testing::ExitedWithCode(0), "");
+}
+
+// ---------------------------------------------------------------------------
+// Bit-flip sweep: every byte of every record kind, flipped, is
+// refused or ignored, never restored, served from the store, or
+// streamed. The flipped bit cycles with the byte offset, so every
+// bit position is exercised in every record.
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+std::string
+flipByte(const std::string &bytes, std::size_t i)
+{
+    std::string bad = bytes;
+    bad[i] = static_cast<char>(bad[i] ^ (1 << (i % 8)));
+    return bad;
+}
+
+void
+writeFileRaw(const std::string &path, const std::string &contents)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << contents;
+    ASSERT_TRUE(out.good()) << path;
+}
+
+/** The failed record kind: quarantined after a retry trail. */
+PointOutcome
+quarantinedOutcome()
+{
+    PointOutcome out;
+    out.status = PointStatus::Quarantined;
+    out.attempts = 2;
+    out.error = "watchdog: livelock";
+    out.attemptTrail = {{PointStatus::Timeout, "watchdog: spin"},
+                        {PointStatus::Failed, "cudaErrorIllegal"}};
+    return out;
+}
+
+/**
+ * A journal at @p path over @p grid: header, one ok record (point 0)
+ * and one quarantined record (point 1). Returns the two outcomes.
+ */
+std::vector<PointOutcome>
+writeFlipJournal(const std::string &path,
+                 const std::vector<ExperimentPoint> &grid)
+{
+    std::vector<PointOutcome> outcomes = {makeOutcome(grid[0], 0),
+                                          quarantinedOutcome()};
+    std::remove(path.c_str());
+    std::unique_ptr<RunJournal> journal =
+        RunJournal::create(path, grid);
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        PointOutcome copy = outcomes[i];
+        EXPECT_TRUE(journal->commit(i, copy));
+    }
+    return outcomes;
+}
+
+} // namespace
+
+TEST(IoFaultBitFlip, ResumeNeverRestoresAFlippedRecord)
+{
+    std::vector<ExperimentPoint> grid = journalGrid();
+    std::string path = tmpPath("flip_journal.jsonl");
+    std::vector<PointOutcome> original = writeFlipJournal(path, grid);
+    std::string clean = readFileOr(path);
+
+    std::size_t refused = 0;
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+        writeFileRaw(path, flipByte(clean, i));
+        std::unique_ptr<RunJournal> journal;
+        try {
+            FatalThrowScope scope;
+            journal = RunJournal::resume(path, grid);
+        } catch (const FatalError &) {
+            ++refused;
+            continue;
+        }
+        // Accepted: only a torn final newline can get here, and
+        // whatever was restored must equal what was committed.
+        for (std::size_t k = 0; k < grid.size(); ++k) {
+            PointOutcome got;
+            if (!journal->restore(k, got))
+                continue;
+            ASSERT_LT(k, original.size()) << "byte " << i;
+            std::uint64_t hash = pointConfigHash(grid[k]);
+            EXPECT_EQ(journalRecordLine(k, hash, grid[k], got),
+                      journalRecordLine(k, hash, grid[k], original[k]))
+                << "byte " << i << " restored a different point " << k;
+        }
+    }
+    EXPECT_EQ(refused, clean.size() - 1); // all but the last '\n'
+    std::remove(path.c_str());
+}
+
+TEST(IoFaultBitFlip, WarmStoreNeverServesAFlippedRecord)
+{
+    std::vector<ExperimentPoint> grid = journalGrid();
+    std::string dir = tmpPath("flip_store");
+    removeTree(dir);
+    constexpr std::uint64_t key = 0x42;
+    {
+        std::unique_ptr<ResultStore> store =
+            ResultStore::open(dir, storeFp);
+        store->insert(key, makeResult(grid[0], 0));
+    }
+    std::string path = dir + "/shards/s42";
+    std::string clean = readFileOr(path);
+    ASSERT_FALSE(clean.empty());
+
+    // Segment header and record alike: every flip is a miss.
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+        writeFileRaw(path, flipByte(clean, i));
+        std::unique_ptr<ResultStore> store = ResultStore::open(
+            dir, storeFp, StoreOptions{/*readonly=*/true, 0});
+        ExperimentResult got;
+        EXPECT_FALSE(store->lookup(key, got)) << "byte " << i;
+    }
+    writeFileRaw(path, clean);
+    std::unique_ptr<ResultStore> store = ResultStore::open(
+        dir, storeFp, StoreOptions{/*readonly=*/true, 0});
+    ExperimentResult got;
+    EXPECT_TRUE(store->lookup(key, got));
+    removeTree(dir);
+}
+
+TEST(IoFaultBitFlip, DaemonStreamNeverServesAFlippedRecord)
+{
+    registerAllWorkloads();
+    std::string state = tmpPath("flip_serve");
+    removeTree(state);
+    std::string payload = daemonPayloads().front();
+    BatchSpec spec;
+    std::string error;
+    ASSERT_TRUE(parseBatchSpec(payload, spec, error)) << error;
+    std::vector<ExperimentPoint> grid = batchSpecPoints(spec);
+    ASSERT_GE(grid.size(), 2u);
+
+    realIoEnv().makeDir(state);
+    realIoEnv().makeDir(state + "/batches");
+    std::string base = state + "/batches/" + hexU64(1);
+    writeFileRaw(base + ".kv", payload);
+    writeFlipJournal(base + ".jsonl", grid);
+    std::string clean = readFileOr(base + ".jsonl");
+    std::string expected;
+    for (const LogRecord &rec : scanRecordLog(clean).records)
+        expected += rec.payload + "\n";
+    expected.erase(0, expected.find('\n') + 1); // the header
+
+    // Paused: the batch stays pending, and stream() rereads the
+    // journal on every call.
+    ServeOptions opt;
+    opt.stateDir = state;
+    opt.paused = true;
+    ServeDaemon daemon(opt);
+    StreamChunk chunk;
+    ASSERT_TRUE(daemon.stream(1, 0, chunk, error)) << error;
+    EXPECT_EQ(chunk.lines, expected);
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+        writeFileRaw(base + ".jsonl", flipByte(clean, i));
+        ASSERT_TRUE(daemon.stream(1, 0, chunk, error)) << error;
+        // Only whole, unchanged records: a prefix of the original
+        // stream that stops before the flipped one.
+        EXPECT_EQ(expected.compare(0, chunk.lines.size(), chunk.lines),
+                  0)
+            << "byte " << i;
+        EXPECT_LT(chunk.records, 2u) << "byte " << i;
+    }
+    daemon.stop();
+    removeTree(state);
 }
 
 TEST(IoFaultEnv, SaltAndPlanAreDeterministic)

@@ -22,6 +22,7 @@
 #include "common/logging.hh"
 #include "core/parallel_runner.hh"
 #include "inject/inject_plan.hh"
+#include "io/record_log.hh"
 #include "journal/journal.hh"
 #include "journal/json.hh"
 
@@ -376,7 +377,7 @@ TEST(Journal, RefusesAStaleCampaign)
     }
 
     // Garbage is refused too, with a line number.
-    writeFile(path, journalHeaderLine(grid) + "\nnot json\n");
+    writeFile(path, frameRecord(journalHeaderLine(grid)) + "not json\n");
     try {
         RunJournal::resume(path, grid);
         FAIL() << "corrupt journal accepted";
@@ -385,6 +386,40 @@ TEST(Journal, RefusesAStaleCampaign)
                   std::string::npos)
             << e.what();
     }
+    std::remove(path.c_str());
+}
+
+TEST(Journal, RefusesAVersion1Journal)
+{
+    // Version 1 had no record checksums: it is refused with an
+    // actionable message, never read by a second parser.
+    std::vector<ExperimentPoint> grid = smallGrid();
+    std::string header = journalHeaderLine(grid);
+    std::size_t version = header.find("\"version\":2");
+    ASSERT_NE(version, std::string::npos);
+    header[version + 10] = '1';
+    PointOutcome out;
+    out.status = PointStatus::Failed;
+    out.attempts = 1;
+    out.error = "boom";
+    std::string path = tmpPath("legacy.jsonl");
+    writeFile(path, header + "\n" +
+                        journalRecordLine(0, pointConfigHash(grid[0]),
+                                          grid[0], out) +
+                        "\n");
+
+    FatalThrowScope guard;
+    try {
+        RunJournal::resume(path, grid);
+        FAIL() << "version-1 journal accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("format version 1"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("without --resume"),
+                  std::string::npos);
+    }
+    EXPECT_TRUE(legacyJournal(readFile(path)));
     std::remove(path.c_str());
 }
 

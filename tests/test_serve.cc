@@ -44,6 +44,7 @@
 
 #include "common/logging.hh"
 #include "core/parallel_runner.hh"
+#include "io/record_log.hh"
 #include "journal/journal.hh"
 #include "journal/json.hh"
 #include "serve/admission.hh"
@@ -138,14 +139,17 @@ splitLines(const std::string &text)
     return lines;
 }
 
-/** Record lines of a journal file (everything after the header). */
+/**
+ * Record payloads of a journal file (everything after the header),
+ * each '\n'-terminated: exactly what the daemon streams.
+ */
 std::string
 journalRecords(const std::string &journalText)
 {
-    std::vector<std::string> lines = splitLines(journalText);
+    RecordScan scan = scanRecordLog(journalText);
     std::string records;
-    for (std::size_t i = 1; i < lines.size(); ++i)
-        records += lines[i];
+    for (std::size_t i = 1; i < scan.records.size(); ++i)
+        records += scan.records[i].payload + "\n";
     return records;
 }
 
@@ -700,6 +704,44 @@ TEST(ServeDaemonTest, KillAtEveryRecordBoundaryResumesBitIdentical)
         daemon.stop();
         removeTree(state);
     }
+}
+
+TEST(ServeDaemonTest, Version1BatchJournalIsDegradedAtRecovery)
+{
+    // A batch journal from before record checksums is refused, never
+    // read: recovery streams nothing from it, and the batch parks
+    // Degraded (the journal layer's fatal, caught by the daemon)
+    // with its bytes left in place.
+    std::string state = tmpDir("legacy_state");
+    removeTree(state);
+    ASSERT_EQ(::mkdir(state.c_str(), 0777), 0);
+    ASSERT_EQ(::mkdir((state + "/batches").c_str(), 0777), 0);
+    std::string base = state + "/batches/" + hexU64(1);
+    writeFile(base + ".kv", saxpyPayload());
+    std::string legacy;
+    for (const LogRecord &rec :
+         scanRecordLog(referenceJournal(saxpyPayload(), 1)).records)
+        legacy += rec.payload + "\n";
+    std::size_t version = legacy.find("\"version\":2");
+    ASSERT_NE(version, std::string::npos);
+    legacy[version + 10] = '1';
+    writeFile(base + ".jsonl", legacy);
+
+    ServeOptions opt;
+    opt.stateDir = state;
+    opt.jobs = 2;
+    ServeDaemon daemon(opt);
+    BatchState finalState = BatchState::Pending;
+    ASSERT_TRUE(daemon.waitTerminal(1, finalState));
+    EXPECT_EQ(finalState, BatchState::Degraded);
+    StreamChunk chunk;
+    std::string error;
+    ASSERT_TRUE(daemon.stream(1, 0, chunk, error)) << error;
+    EXPECT_EQ(chunk.records, 0u);
+    EXPECT_TRUE(chunk.lines.empty());
+    EXPECT_EQ(readFile(base + ".jsonl"), legacy);
+    daemon.stop();
+    removeTree(state);
 }
 
 TEST(ServeDaemonTest, RestartResumesPendingSubmissionsInOrder)

@@ -26,6 +26,7 @@
 
 #include "common/logging.hh"
 #include "core/parallel_runner.hh"
+#include "io/record_log.hh"
 #include "journal/journal.hh"
 #include "journal/json.hh"
 #include "store/fingerprint.hh"
@@ -221,25 +222,21 @@ TEST(StoreRecord, RoundTripIsBitExact)
 TEST(StoreRecord, EveryFlippedByteIsRejected)
 {
     ExperimentResult res = trickyResult();
-    std::string line = storeRecordLine(0x1111ull, 0x2222ull, res);
+    std::string header = frameRecord(storeSegmentHeaderLine(0x22));
+    std::string line =
+        frameRecord(storeRecordLine(0x1111ull, 0x2222ull, res));
+    ASSERT_EQ(scanStoreSegment(header + line, 0x22).entries.size(), 1u);
 
-    // Flip each byte in turn: whatever survives JSON parsing must be
-    // caught by the checksum — no flipped line may round-trip to a
-    // *different* accepted record.
+    // Flip every bit of every byte of the framed record, newline
+    // included: each one must be rejected, even a flip that would
+    // still decode to an equal record.
     for (std::size_t i = 0; i < line.size(); ++i) {
-        std::string bad = line;
-        bad[i] = static_cast<char>(bad[i] ^ 0x04);
-        std::uint64_t fp = 0;
-        std::uint64_t key = 0;
-        ExperimentResult back;
-        std::string error;
-        if (parseStoreRecord(bad, fp, key, back, error)) {
-            // A flip that still parses must decode to the identical
-            // record (e.g. flipping inside an ignored whitespace
-            // position — which this layout does not have).
-            EXPECT_EQ(storeRecordLine(fp, key, back), line)
-                << "byte " << i << " flipped to an accepted, "
-                << "different record";
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string bad = line;
+            bad[i] = static_cast<char>(bad[i] ^ (1 << bit));
+            StoreSegment seg = scanStoreSegment(header + bad, 0x22);
+            EXPECT_TRUE(seg.entries.empty())
+                << "byte " << i << " bit " << bit << " accepted";
         }
     }
 }
@@ -590,8 +587,8 @@ TEST(Store, LruSegmentsAreEvictedUnderAByteBudget)
     // Measure one record+header so the budget holds ~3 segments.
     ExperimentResult res = trickyResult();
     std::uint64_t perSegment =
-        storeSegmentHeaderLine(0).size() + 1 +
-        storeRecordLine(fp, 0, res).size() + 1;
+        frameRecord(storeSegmentHeaderLine(0)).size() +
+        frameRecord(storeRecordLine(fp, 0, res)).size();
 
     StoreOptions opt;
     opt.maxBytes = perSegment * 3 + perSegment / 2;

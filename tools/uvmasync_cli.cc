@@ -26,8 +26,8 @@
  *   uvmasync store stats|verify|gc|invalidate --store DIR
  *       Inspect or maintain a persistent result store offline.
  *
- * Crash safety: `--journal FILE` writes an append-only, fsync'd
- * JSONL write-ahead log of per-point outcomes in submission order
+ * Crash safety: `--journal FILE` writes an append-only, fsync'd,
+ * checksummed write-ahead log of per-point outcomes in submission order
  * (byte-deterministic at any --jobs count); `--resume FILE` skips
  * the points the journal already holds — after a crash or kill the
  * merged output is byte-identical to an uninterrupted run. Failed
@@ -56,6 +56,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -463,16 +464,9 @@ jobFilePoints(const std::string &jobName, const std::string &path,
     std::ifstream in(path, std::ios::binary);
     if (!in)
         fatal("cannot read job file '%s'", path.c_str());
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    char c = 0;
-    while (in.get(c)) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    if (pinned) {
-        h ^= 1;
-        h *= 0x100000001b3ull;
-    }
+    std::ostringstream contents;
+    contents << in.rdbuf();
+    std::uint64_t h = jobFileBaseSeed(contents.str(), pinned);
     std::vector<ExperimentPoint> points;
     points.reserve(allTransferModes.size());
     for (TransferMode mode : allTransferModes) {
@@ -1204,9 +1198,9 @@ clientBatchPayload(const Args &args, std::string &payload)
 
 /**
  * Client of a running campaign daemon (`uvmasync-serve`). Streams
- * print the batch's journal record lines — submission-order hexfloat
- * JSONL, byte-identical to the record lines `uvmasync run --journal`
- * writes for the same batch — to stdout; everything advisory
+ * print the batch's journal record payloads — submission-order
+ * hexfloat JSONL, byte-identical to the record payloads `uvmasync run
+ * --journal` writes for the same batch — to stdout; everything advisory
  * (handles, states, errors) goes to stderr so streams stay cmp-able.
  */
 int

@@ -15,8 +15,8 @@
  * the daemon at any point and restarting it over the same state
  * directory resumes every in-flight campaign — and the result
  * stream a client eventually collects is byte-identical to an
- * uninterrupted run (and to `uvmasync run --journal` of the same
- * batch).
+ * uninterrupted run (and to the record payloads of `uvmasync run
+ * --journal` of the same batch).
  *
  * --store attaches the shared cross-client result store (default:
  * the UVMASYNC_STORE environment variable, same as the batch CLI),
