@@ -3,7 +3,8 @@
  * Golden-figure regression harness.
  *
  * Runs the Figure 7 (microbenchmarks), Figure 8 (applications) and
- * Figure 14 (inter-job pipeline) pipelines at a fixed seed through
+ * Figure 14 (inter-job pipeline) pipelines, plus a handful of
+ * oversubscribed Mega UVM points, at a fixed seed through
  * the parallel engine and compares the rendered CSV byte-for-byte
  * against the checked-in goldens in tests/golden/. Any change to the
  * simulator's timing model shows up as a diff here, so a perf PR
@@ -25,6 +26,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -91,23 +93,14 @@ goldenOpts(SizeClass size)
 }
 
 /**
- * Run a (workloads x five modes) grid through the engine and render
- * it as CSV, micro-picosecond precision: workload, mode, clean and
- * mean alloc/transfer/kernel components, and the fault counter.
+ * Run @p points through the engine and render them as CSV,
+ * micro-picosecond precision: workload, mode, clean and mean
+ * alloc/transfer/kernel components, and the fault counter.
  */
 std::string
-gridCsv(const std::vector<std::string> &workloads, SizeClass size,
-        std::vector<ExperimentResult> *keep = nullptr)
+pointsCsv(const std::vector<ExperimentPoint> &points,
+          std::vector<ExperimentResult> *keep = nullptr)
 {
-    std::vector<TransferMode> modes(allTransferModes.begin(),
-                                    allTransferModes.end());
-    std::vector<ExperimentPoint> points = ParallelRunner::expandGrid(
-        workloads, modes, 1, goldenOpts(size));
-    // expandGrid derives per-trial seeds; the golden pipelines pin
-    // the cell seed itself so the CSV matches a plain fixed-seed run.
-    for (ExperimentPoint &point : points)
-        point.opts.baseSeed = 42;
-
     ParallelRunner runner(SystemConfig::a100Epyc());
     std::vector<ExperimentResult> results = runner.run(points);
 
@@ -130,6 +123,22 @@ gridCsv(const std::vector<std::string> &workloads, SizeClass size,
     if (keep)
         *keep = std::move(results);
     return csv;
+}
+
+/** Run a (workloads x five modes) grid and render it as CSV. */
+std::string
+gridCsv(const std::vector<std::string> &workloads, SizeClass size,
+        std::vector<ExperimentResult> *keep = nullptr)
+{
+    std::vector<TransferMode> modes(allTransferModes.begin(),
+                                    allTransferModes.end());
+    std::vector<ExperimentPoint> points = ParallelRunner::expandGrid(
+        workloads, modes, 1, goldenOpts(size));
+    // expandGrid derives per-trial seeds; the golden pipelines pin
+    // the cell seed itself so the CSV matches a plain fixed-seed run.
+    for (ExperimentPoint &point : points)
+        point.opts.baseSeed = 42;
+    return pointsCsv(points, keep);
 }
 
 TEST(GoldenFigures, Fig7MicroLarge)
@@ -180,6 +189,34 @@ TEST(GoldenFigures, Fig14InterJobPipeline)
                   sched.improvement());
     csv += buf;
     compareOrUpdate("fig14_interjob.csv", csv);
+}
+
+/**
+ * The evicting regime: Mega points whose touched working set
+ * oversubscribes device memory, so demand faults, LRU eviction and
+ * migration order all reach the CSV. One run per point keeps the
+ * suite quick.
+ */
+TEST(GoldenFigures, OversubMega)
+{
+    registerAllWorkloads();
+    const std::pair<const char *, TransferMode> cells[] = {
+        {"3DCONV", TransferMode::Uvm},
+        {"3DCONV", TransferMode::UvmPrefetch},
+        {"3DCONV", TransferMode::UvmPrefetchAsync},
+        {"gemm", TransferMode::Uvm},
+        {"kmeans", TransferMode::Uvm},
+    };
+    std::vector<ExperimentPoint> points;
+    for (const auto &[workload, mode] : cells) {
+        ExperimentPoint point;
+        point.workload = workload;
+        point.mode = mode;
+        point.opts = goldenOpts(SizeClass::Mega);
+        point.opts.runs = 1;
+        points.push_back(std::move(point));
+    }
+    compareOrUpdate("oversub_mega.csv", pointsCsv(points));
 }
 
 /**
