@@ -3,21 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
+#include "gpu/demand_map.hh"
+
 namespace uvmasync
 {
 
 namespace
 {
-
-/** Knuth multiplicative hash onto [0, n) — must stay identical to
- * the executor's block/chunk mapping (gpu/kernel_executor.cc). */
-std::uint64_t
-permuteIndex(std::uint64_t i, std::uint64_t n)
-{
-    if (n <= 1)
-        return 0;
-    return (i * 2654435761ull + 0x9e3779b9ull) % n;
-}
 
 /** Beyond this many per-use block iterations the hashed patterns
  * fall back to a closed-form coverage estimate instead of exact
@@ -33,30 +25,18 @@ chunkSize(Bytes bufferBytes, Bytes chunkBytes, std::uint64_t c,
     return bufferBytes - (chunks - 1) * chunkBytes;
 }
 
-std::uint64_t
-touchedChunksOf(const KernelBufferUse &use, std::uint64_t chunks)
-{
-    double tf = std::clamp(use.touchedFraction, 0.0, 1.0);
-    return static_cast<std::uint64_t>(
-        std::ceil(static_cast<double>(chunks) * tf));
-}
-
 /**
- * Mark the chunks one launch of @p kd demands through @p use into
- * @p bits, replicating KernelExecutor::requestGroup's block-to-chunk
- * mapping: sequential walks demand the touched prefix, irregular
- * walks permute the block-to-span assignment, random walks permute
- * chunk indices inside the touched prefix.
+ * Mark the chunks use @p u of @p map demands into @p bits: the union
+ * of the map's block spans, exact up to exactMappingBudget and a
+ * closed-form coverage estimate past it.
  */
 void
-markDemanded(std::vector<std::uint8_t> &bits,
-             const KernelBufferUse &use, std::uint64_t gridBlocks,
-             std::uint64_t chunks)
+markDemanded(std::vector<std::uint8_t> &bits, const DemandMap &map,
+             std::size_t u)
 {
-    std::uint64_t touched = touchedChunksOf(use, chunks);
-    if (touched == 0)
-        return;
-    std::uint64_t blocks = std::max<std::uint64_t>(1, gridBlocks);
+    const DemandMap::Use &use = map.uses()[u];
+    std::uint64_t touched = use.touched;
+    std::uint64_t blocks = map.blocks();
 
     auto markPrefix = [&](std::uint64_t n) {
         n = std::min(n, touched);
@@ -72,19 +52,9 @@ markDemanded(std::vector<std::uint8_t> &bits,
 
     if (std::max(blocks, touched) <= exactMappingBudget) {
         for (std::uint64_t b = 0; b < blocks; ++b) {
-            std::uint64_t pos = b;
-            if (use.pattern == AccessPattern::Irregular)
-                pos = permuteIndex(b, blocks);
-            std::uint64_t lo = pos * touched / blocks;
-            std::uint64_t hi = (pos + 1) * touched / blocks;
-            if (hi <= lo)
-                hi = lo + 1;
-            for (std::uint64_t c = lo; c < hi && c < chunks; ++c) {
-                std::uint64_t chunk = c;
-                if (use.pattern == AccessPattern::Random)
-                    chunk = permuteIndex(c * blocks + b, touched);
-                bits[chunk] = 1;
-            }
+            ChunkSpan span = map.blockSpan(u, b);
+            for (std::uint64_t c = span.lo; c < span.hi; ++c)
+                bits[map.chunkAt(u, b, c)] = 1;
         }
         return;
     }
@@ -140,11 +110,12 @@ analyzeDataflow(const SystemConfig &system, const Job &job)
                                            : kib(256);
 
     out.buffers.resize(job.buffers.size());
+    std::vector<Bytes> bufferBytes(job.buffers.size());
     for (std::size_t i = 0; i < job.buffers.size(); ++i) {
         BufferFlow &bf = out.buffers[i];
         bf.id = i;
         bf.name = job.buffers[i].name;
-        bf.bytes = job.buffers[i].bytes;
+        bf.bytes = bufferBytes[i] = job.buffers[i].bytes;
         bf.hostInit = job.buffers[i].hostInit;
         bf.hostConsumed = job.buffers[i].hostConsumed;
         bf.chunkCount =
@@ -171,12 +142,7 @@ analyzeDataflow(const SystemConfig &system, const Job &job)
         kf.newChunksByBuffer.assign(job.buffers.size(), 0);
         kf.newBytesByBuffer.assign(job.buffers.size(), 0);
 
-        // Distinct chunks this kernel demands, per buffer (several
-        // uses of one buffer share residency within a launch).
-        std::vector<std::vector<std::size_t>> usesByBuffer(
-            job.buffers.size());
-        for (std::size_t ui = 0; ui < kd.buffers.size(); ++ui) {
-            const KernelBufferUse &use = kd.buffers[ui];
+        for (const KernelBufferUse &use : kd.buffers) {
             if (use.bufferId >= job.buffers.size())
                 continue; // UAL001 territory; dataflow stays total
             BufferFlow &bf = out.buffers[use.bufferId];
@@ -196,21 +162,23 @@ analyzeDataflow(const SystemConfig &system, const Job &job)
                 std::max(bf.maxTouchedFraction, tf);
             kf.workingSetBytes += static_cast<Bytes>(
                 static_cast<double>(bf.bytes) * tf);
-            if (tf > 0.0)
-                usesByBuffer[use.bufferId].push_back(ui);
         }
+
+        // Distinct chunks this kernel demands, per buffer (several
+        // uses of one buffer share residency within a launch).
+        DemandMap map(kd, bufferBytes, out.chunkBytes);
+        std::vector<std::vector<std::size_t>> usesByBuffer(
+            job.buffers.size());
+        for (std::size_t u = 0; u < map.uses().size(); ++u)
+            usesByBuffer[map.uses()[u].bufferId].push_back(u);
 
         for (std::size_t bi = 0; bi < job.buffers.size(); ++bi) {
             if (usesByBuffer[bi].empty())
                 continue;
             BufferFlow &bf = out.buffers[bi];
-            if (bf.chunkCount == 0)
-                continue;
             scratch.assign(bf.chunkCount, 0);
-            for (std::size_t ui : usesByBuffer[bi]) {
-                markDemanded(scratch, kd.buffers[ui], kd.gridBlocks,
-                             bf.chunkCount);
-            }
+            for (std::size_t u : usesByBuffer[bi])
+                markDemanded(scratch, map, u);
             for (std::uint64_t c = 0; c < bf.chunkCount; ++c) {
                 if (!scratch[c])
                     continue;

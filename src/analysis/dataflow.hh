@@ -5,7 +5,7 @@
  * model and the campaign-advisor diagnostics need: per-buffer
  * liveness intervals, per-kernel (phase) working sets, the
  * oversubscription ratio against device memory, chunk-exact demanded
- * footprints (replicating the executor's block-to-chunk mapping),
+ * footprints (from the executor's DemandMap, gpu/demand_map.hh),
  * reuse distances between consecutive uses, and access density.
  *
  * Everything here is a pure function of (SystemConfig, Job); no
@@ -54,9 +54,9 @@ struct BufferFlow
 
     /**
      * Distinct chunks a full sequence pass demand-touches, under the
-     * executor's exact block-to-chunk mapping (union across every
-     * kernel use; sequential walks touch the prefix, random walks
-     * the hash image of it).
+     * executor's DemandMap (union across every kernel use;
+     * sequential walks touch the prefix, random walks the hash image
+     * of it).
      */
     std::uint64_t demandedChunks = 0;
 

@@ -11,20 +11,6 @@
 namespace uvmasync
 {
 
-namespace
-{
-
-/** Knuth multiplicative hash onto [0, n). */
-std::uint64_t
-permuteIndex(std::uint64_t i, std::uint64_t n)
-{
-    if (n <= 1)
-        return 0;
-    return (i * 2654435761ull + 0x9e3779b9ull) % n;
-}
-
-} // namespace
-
 KernelExecutor::KernelExecutor(KernelExecConfig cfg)
     : cfg_(std::move(cfg))
 {
@@ -288,50 +274,20 @@ KernelExecutor::derive(const KernelDescriptor &kd) const
 }
 
 Tick
-KernelExecutor::requestGroup(const KernelDescriptor &kd, std::uint64_t b,
-                             std::uint64_t g, std::uint64_t groups,
+KernelExecutor::requestGroup(const DemandMap &map,
+                             std::span<const ChunkSpan> spans,
+                             std::uint64_t b, std::uint64_t g,
                              Tick t) const
 {
     MigrationEngine &uvm = *cfg_.uvm;
-    Bytes chunkBytes = uvm.config().chunkBytes;
-
     Tick ready = t;
-    for (const KernelBufferUse &use : kd.buffers) {
-        if (use.touchedFraction <= 0.0)
-            continue;
-        std::size_t rangeId = cfg_.bufferRangeIds[use.bufferId];
-        Bytes bytes = cfg_.bufferBytes[use.bufferId];
-        std::uint64_t chunks = (bytes + chunkBytes - 1) / chunkBytes;
-        auto touched = static_cast<std::uint64_t>(
-            std::ceil(static_cast<double>(chunks) *
-                      std::clamp(use.touchedFraction, 0.0, 1.0)));
-        if (touched == 0)
-            continue;
-
-        std::uint64_t blocks = std::max<std::uint64_t>(
-            1, kd.gridBlocks);
-        // Map this block onto its slice of the touched chunks.
-        std::uint64_t pos = b;
-        if (use.pattern == AccessPattern::Irregular)
-            pos = permuteIndex(b, blocks);
-        std::uint64_t lo = pos * touched / blocks;
-        std::uint64_t hi = (pos + 1) * touched / blocks;
-        if (hi <= lo)
-            hi = lo + 1;
-
-        // This group's share of the block's span.
-        std::uint64_t span = hi - lo;
-        std::uint64_t glo = lo + g * span / groups;
-        std::uint64_t ghi = lo + (g + 1) * span / groups;
-        if (g + 1 == groups)
-            ghi = hi;
-
-        for (std::uint64_t c = glo; c < ghi && c < chunks; ++c) {
-            std::uint64_t chunk = c;
-            if (use.pattern == AccessPattern::Random)
-                chunk = permuteIndex(c * blocks + b, touched);
+    for (std::size_t u = 0; u < spans.size(); ++u) {
+        std::size_t rangeId = map.uses()[u].rangeId;
+        ChunkSpan group = map.groupSpan(spans[u], g);
+        for (std::uint64_t c = group.lo; c < group.hi; ++c) {
             ready = std::max(ready,
-                             uvm.requestChunk(rangeId, chunk, t));
+                             uvm.requestChunk(rangeId,
+                                              map.chunkAt(u, b, c), t));
         }
     }
     return ready;
@@ -425,9 +381,15 @@ KernelExecutor::run(const KernelDescriptor &kd, Tick start)
         // Event-ordered interleaving: blocks progress through chunk
         // groups, and the globally earliest continuation always runs
         // next so that demand requests reach the FIFO fault/link
-        // resources in time order.
-        std::uint64_t groups = std::max<std::uint32_t>(
-            1, cfg_.maxChunkGroupsPerBlock);
+        // resources in time order. A group that demands no chunk has
+        // no side effect (no request, stall or trace event), so a
+        // block's continuation jumps straight to its next demanding
+        // group, or to its finish; every remaining event keeps the
+        // (when, block, group) key it would have had.
+        DemandMap map(kd, cfg_.bufferBytes,
+                      cfg_.uvm->config().chunkBytes,
+                      cfg_.maxChunkGroupsPerBlock, cfg_.bufferRangeIds);
+        std::uint64_t groups = map.groups();
         Tick perGroupCompute = std::max<Tick>(blockTime / groups, 1);
 
         struct Continuation
@@ -435,6 +397,7 @@ KernelExecutor::run(const KernelDescriptor &kd, Tick start)
             Tick when;
             std::uint64_t block;
             std::uint64_t group;
+            std::uint64_t slot;
 
             bool
             operator>(const Continuation &o) const
@@ -450,10 +413,31 @@ KernelExecutor::run(const KernelDescriptor &kd, Tick start)
                             std::greater<>>
             pending;
 
+        // Each slot's current block spans, one per demanding use,
+        // computed once when the block starts.
+        std::size_t nUses = map.uses().size();
+        std::vector<ChunkSpan> slotSpans(slots * nUses);
+        auto spansOf = [&](std::uint64_t slot) {
+            return std::span<ChunkSpan>(slotSpans).subspan(
+                slot * nUses, nUses);
+        };
+        // Continue block @p b on @p slot from group @p g at @p t.
+        auto resume = [&](Tick t, std::uint64_t b, std::uint64_t g,
+                          std::uint64_t slot) {
+            std::uint64_t n = map.nextDemandGroup(spansOf(slot), g);
+            pending.push(Continuation{t + (n - g) * perGroupCompute,
+                                      b, n, slot});
+        };
+        auto startBlock = [&](Tick t, std::uint64_t b,
+                              std::uint64_t slot) {
+            map.blockSpans(b, spansOf(slot));
+            resume(t, b, 0, slot);
+        };
+
         std::uint64_t nextBlock = std::min<std::uint64_t>(
             slots, kd.gridBlocks);
         for (std::uint64_t b = 0; b < nextBlock; ++b)
-            pending.push(Continuation{launchDone, b, 0});
+            startBlock(launchDone, b, b);
 
         while (!pending.empty()) {
             Continuation c = pending.top();
@@ -462,12 +446,11 @@ KernelExecutor::run(const KernelDescriptor &kd, Tick start)
                 // Block finished; its slot picks up the next block.
                 end = std::max(end, c.when);
                 if (nextBlock < kd.gridBlocks)
-                    pending.push(
-                        Continuation{c.when, nextBlock++, 0});
+                    startBlock(c.when, nextBlock++, c.slot);
                 continue;
             }
-            Tick ready = requestGroup(kd, c.block, c.group, groups,
-                                      c.when);
+            Tick ready = requestGroup(map, spansOf(c.slot), c.block,
+                                      c.group, c.when);
             stall += ready - c.when;
             if (cfg_.tracer && ready > c.when) {
                 cfg_.tracer->instant(TraceCategory::Kernel,
@@ -475,8 +458,8 @@ KernelExecutor::run(const KernelDescriptor &kd, Tick start)
                                      cfg_.traceLane, c.when,
                                      ready - c.when);
             }
-            pending.push(Continuation{ready + perGroupCompute,
-                                      c.block, c.group + 1});
+            resume(ready + perGroupCompute, c.block, c.group + 1,
+                   c.slot);
         }
     }
 

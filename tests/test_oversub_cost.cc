@@ -1,10 +1,15 @@
 /**
  * @file
- * Bounded-cost regression for oversubscribed UVM points. kmeans@mega
- * under uvm_prefetch_async keeps evicting while it runs, so its host
- * time is dominated by the cost of an LRU touch. ctest runs this
- * suite with a 60 s TIMEOUT: with O(1) LRU operations the point
- * simulates in about a second; a linear LRU scan takes minutes.
+ * Bounded-cost regressions for the slow shapes of UVM points. ctest
+ * runs this suite with a 60 s TIMEOUT.
+ *
+ *  - kmeans@mega under uvm_prefetch_async keeps evicting while it
+ *    runs, so its host time is dominated by the cost of an LRU touch:
+ *    with O(1) LRU operations it simulates in about a second; a
+ *    linear LRU scan takes minutes.
+ *  - lavaMD@super under uvm runs 2^21 blocks over far fewer chunks,
+ *    so most of each block's chunk groups demand nothing: the
+ *    demand-driven event loop skips them.
  */
 
 #include <gtest/gtest.h>
@@ -45,6 +50,23 @@ TEST(OversubscriptionCost, KmeansMegaPrefetchAsyncIsBounded)
         });
     EXPECT_GT(evictions, 0);
     EXPECT_GT(res.clean.overallPs(), 0.0);
+}
+
+TEST(OversubscriptionCost, LavaMdSuperUvmIsBounded)
+{
+    Experiment experiment;
+    ExperimentOptions opts;
+    opts.size = SizeClass::Super;
+    opts.runs = 1;
+
+    ExperimentResult res;
+    try {
+        res = experiment.run("lavaMD", TransferMode::Uvm, opts);
+    } catch (const PointTimeout &e) {
+        FAIL() << "watchdog tripped: " << e.what();
+    }
+    // The Figure 8 golden's fault count for this point.
+    EXPECT_EQ(res.counters.faults, 16384u);
 }
 
 } // namespace
