@@ -6,10 +6,7 @@
  * bytes, fault counts and an async-vs-UVM winner without running the
  * event-driven simulator. This suite holds it honest: every registry
  * workload at every size class is simulated under TransferMode::Async
- * and TransferMode::Uvm and compared against the prediction. Points
- * whose grid geometry makes the simulator itself pathologically slow
- * on a single core are skipped by a structural predicate (see
- * kMaxSimulableBlocks) and counted in the committed summary.
+ * and TransferMode::Uvm and compared against the prediction.
  *
  * The committed accuracy band (the numbers check.sh gates on):
  *   - winner agreement  >= kWinnerAgreementFloor of all points
@@ -63,24 +60,6 @@ constexpr double kWinnerAgreementFloor = 0.80;
 constexpr double kExplicitBytesTol = 0.01; // max rel. error, exact
 constexpr double kUvmBytesMeanTol = 0.35;  // mean rel. error
 constexpr double kUvmFaultsMeanTol = 0.50; // mean rel. error
-
-// Simulating a UVM launch costs host CPU proportional to its block
-// count (the executor enumerates per-block demand); past ~4M blocks
-// one reference point takes minutes on one core (lavaMD @ mega runs
-// 16.7M blocks). Such points are skipped *structurally* — by grid
-// geometry, not by name — and counted in the committed summary, so
-// a workload drifting over the line shows up as a golden diff.
-constexpr std::uint64_t kMaxSimulableBlocks = 1ull << 22;
-
-bool
-pathologicalToSimulate(const Job &job)
-{
-    for (const KernelDescriptor &kd : job.kernels) {
-        if (kd.gridBlocks > kMaxSimulableBlocks)
-            return true;
-    }
-    return false;
-}
 
 std::string
 goldenPath(const std::string &name)
@@ -179,7 +158,7 @@ TEST(CostModelCrossValidation, RegistryWideWinnerAndTraffic)
     registerAllWorkloads();
     SystemConfig sys = SystemConfig::a100Epyc();
 
-    std::uint64_t points = 0, agreed = 0, timeouts = 0, skipped = 0;
+    std::uint64_t points = 0, agreed = 0, timeouts = 0;
     ErrStat asyncH2d, asyncD2h, uvmH2d, uvmD2h, uvmFaults;
     // Per-size agreement, indexed by SizeClass value.
     std::vector<std::uint64_t> sizePoints(allSizeClasses.size(), 0);
@@ -192,10 +171,6 @@ TEST(CostModelCrossValidation, RegistryWideWinnerAndTraffic)
         for (std::size_t si = 0; si < allSizeClasses.size(); ++si) {
             SizeClass size = allSizeClasses[si];
             Job job = w.makeJob(size);
-            if (pathologicalToSimulate(job)) {
-                ++skipped;
-                continue;
-            }
             CostReport rep = analyzeCost(sys, job);
 
             SimPoint simAsync =
@@ -278,7 +253,6 @@ TEST(CostModelCrossValidation, RegistryWideWinnerAndTraffic)
     };
     row("points", static_cast<double>(points));
     row("timeouts", static_cast<double>(timeouts));
-    row("skipped_pathological", static_cast<double>(skipped));
     row("winner_agreement", agreement);
     row("async_h2d_relerr_max", asyncH2d.maxv);
     row("async_d2h_relerr_max", asyncD2h.maxv);
