@@ -9,6 +9,10 @@
 #include <stdexcept>
 #include <thread>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/logging.hh"
 #include "common/stable_hash.hh"
 #include "inject/injector.hh"
@@ -29,6 +33,22 @@ msSince(Clock::time_point start)
     return std::chrono::duration<double, std::milli>(Clock::now() -
                                                      start)
         .count();
+}
+
+/**
+ * Hand free heap pages back to the OS. A finished point frees its
+ * device state (per-chunk residency arrays run to MiBs at Mega), but
+ * once glibc's dynamic mmap threshold has risen those blocks live in
+ * the worker's arena, where a later small allocation can pin them; a
+ * point running on another worker then peaks on top of that retained
+ * heap. A no-op off glibc.
+ */
+void
+releaseFreeHeap()
+{
+#if defined(__GLIBC__)
+    malloc_trim(0);
+#endif
 }
 
 /** 0 means "not set"; resolved lazily in globalJobs(). */
@@ -395,6 +415,7 @@ ParallelRunner::runPoints(const std::vector<ExperimentPoint> &points,
         }
         if (!outcome.ok)
             outcome.status = PointStatus::Quarantined;
+        releaseFreeHeap();
         outcome.metrics.wallMs = msSince(start);
     };
 
