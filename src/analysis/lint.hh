@@ -52,10 +52,11 @@ DiagnosticEngine lintJob(const SystemConfig &system, const Job &job,
                          const TransferMode *transferMode = nullptr);
 
 /**
- * Pre-run gate used by Experiment and the CLI jobfile path: lint the
- * model under @p mode; print findings via warn(); fatal() listing the
- * errors when @p mode is Enforce and any error-severity finding
- * exists. Returns the engine so callers can inspect findings.
+ * Pre-run gate used by the CLI jobfile path (Experiment::run gates
+ * through enforceBatchLint): lint the model under @p mode; print
+ * findings via warn(); fatal() listing the errors when @p mode is
+ * Enforce and any error-severity finding exists. Returns the engine
+ * so callers can inspect findings.
  *
  * Printing is deduplicated process-wide on (code, location, subject,
  * message): a jobfile linted once per sweep point prints each unique
@@ -67,6 +68,20 @@ DiagnosticEngine enforceLint(const SystemConfig &system, const Job &job,
                              const KvConfig *systemKv = nullptr,
                              const KvConfig *jobKv = nullptr,
                              const TransferMode *transferMode = nullptr);
+
+/**
+ * The gate of one point in a batch that prices each job once
+ * (planLintPricing in core/parallel_runner.hh): enforceLint with the
+ * dominated-mode advisory (UAL020) evaluated for each of
+ * @p pricedModes. An empty list runs only the structural passes,
+ * the only ones that can fail the gate: the cost advisor emits notes
+ * and warnings, so skipping it leaves the verdict unchanged.
+ */
+DiagnosticEngine enforceBatchLint(const SystemConfig &system,
+                                  const Job &job,
+                                  const std::string &subject,
+                                  LintMode mode,
+                                  const std::vector<TransferMode> &pricedModes);
 
 /** Forget which findings enforceLint has printed (tests). */
 void resetLintPrintDedup();

@@ -719,18 +719,17 @@ class CostAdvisorPass : public AnalysisPass
                     "uvm");
         }
 
-        // UAL020: the mode about to run is predicted dominated.
-        if (ctx.mode) {
+        // UAL020: a mode about to run is predicted dominated.
+        for (TransferMode m : ctx.modes) {
             constexpr double dominatedRatio = 1.25;
-            const ModeCost &sel = rep.mode(*ctx.mode);
+            const ModeCost &sel = rep.mode(m);
             const ModeCost &best = rep.mode(rep.bestMode);
             if (best.overallPs() > 0.0 &&
                 sel.overallPs() >
                     best.overallPs() * dominatedRatio) {
                 diags.report(
                     DiagId::DominatedModeSelection, subj,
-                    std::string("mode ") +
-                        transferModeName(*ctx.mode) +
+                    std::string("mode ") + transferModeName(m) +
                         " is predicted " +
                         fmtTime(sel.overallPs()) + " overall, but " +
                         transferModeName(rep.bestMode) +

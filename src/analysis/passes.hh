@@ -40,10 +40,11 @@ struct LintContext
     /** KV source of the job (jobfile path), for source locations. */
     const KvConfig *jobKv = nullptr;
 
-    /** Transfer mode the caller is about to run under, when known;
-     * enables mode-aware advisories (UAL020). Null when the lint is
-     * mode-agnostic (jobfile lint, --all-workloads sweeps). */
-    const TransferMode *mode = nullptr;
+    /** Transfer modes the caller is about to run under, when known;
+     * the mode-aware advisory (UAL020) is evaluated for each. Empty
+     * when the lint is mode-agnostic (jobfile lint, --all-workloads
+     * sweeps). */
+    std::vector<TransferMode> modes;
 
     /** Human-readable model name ("gemm @ super", "file.ini"). */
     std::string subject;

@@ -41,14 +41,22 @@ ExperimentResult
 Experiment::run(const std::string &workloadName, TransferMode mode,
                 const ExperimentOptions &opts)
 {
+    return run(workloadName, mode, opts, {mode});
+}
+
+ExperimentResult
+Experiment::run(const std::string &workloadName, TransferMode mode,
+                const ExperimentOptions &opts,
+                const std::vector<TransferMode> &pricedModes)
+{
     const Workload &workload =
         WorkloadRegistry::instance().get(workloadName);
     Job job = workload.makeJob(opts.size, opts.geometry);
 
-    enforceLint(system_, job,
-                workloadName + " @ " +
-                    std::string(sizeClassName(opts.size)),
-                opts.lint, nullptr, nullptr, &mode);
+    enforceBatchLint(system_, job,
+                     workloadName + " @ " +
+                         std::string(sizeClassName(opts.size)),
+                     opts.lint, pricedModes);
 
     Device device(system_);
     Tracer tracer;

@@ -111,10 +111,21 @@ class Experiment
 
     const SystemConfig &system() const { return system_; }
 
-    /** Run one cell. */
+    /** Run one cell; its lint gate prices the job for @p mode. */
     ExperimentResult run(const std::string &workloadName,
                          TransferMode mode,
                          const ExperimentOptions &opts = {});
+
+    /**
+     * Run one cell of a batch that prices each job once: the gate
+     * evaluates UAL020 for each of @p pricedModes, or runs only the
+     * structural passes when the list is empty (enforceBatchLint).
+     * ParallelRunner passes its planLintPricing entry here.
+     */
+    ExperimentResult run(const std::string &workloadName,
+                         TransferMode mode,
+                         const ExperimentOptions &opts,
+                         const std::vector<TransferMode> &pricedModes);
 
     /** Run all five modes for one workload. */
     std::vector<ExperimentResult>

@@ -1,13 +1,16 @@
 #include "core/parallel_runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <deque>
 #include <exception>
+#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -246,6 +249,30 @@ ParallelRunner::expandGrid(const std::vector<std::string> &workloads,
     return points;
 }
 
+std::vector<std::vector<TransferMode>>
+planLintPricing(const std::vector<ExperimentPoint> &points,
+                const std::vector<char> &live)
+{
+    using JobKey = std::tuple<std::string, SizeClass, std::uint64_t,
+                              std::uint32_t>;
+    std::map<JobKey, std::size_t> pricer;
+    std::vector<std::vector<TransferMode>> plan(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const ExperimentPoint &point = points[i];
+        if (!live[i] || point.opts.lint == LintMode::Off)
+            continue;
+        JobKey key{point.workload, point.opts.size,
+                   point.opts.geometry.gridBlocks,
+                   point.opts.geometry.threadsPerBlock};
+        std::vector<TransferMode> &modes =
+            plan[pricer.try_emplace(key, i).first->second];
+        if (std::find(modes.begin(), modes.end(), point.mode) ==
+            modes.end())
+            modes.push_back(point.mode);
+    }
+    return plan;
+}
+
 BatchResult
 ParallelRunner::runPoints(const std::vector<ExperimentPoint> &points)
 {
@@ -293,6 +320,12 @@ ParallelRunner::runPoints(const std::vector<ExperimentPoint> &points,
             }
         }
     }
+
+    // Price each job once: its first live point runs the cost
+    // advisor for every mode the batch runs it under, the others
+    // only the structural passes.
+    const std::vector<std::vector<TransferMode>> pricing =
+        planLintPricing(points, live);
 
     // Submission-order journal merge: a point's terminal record is
     // appended only once every earlier point has completed, so the
@@ -353,10 +386,10 @@ ParallelRunner::runPoints(const std::vector<ExperimentPoint> &points,
     // local to the Experiment/Device, so points are independent and
     // the outcome depends only on the point itself — never on which
     // worker or in which order it ran.
-    auto runPoint = [&](Experiment &experiment,
-                        const ExperimentPoint &point,
-                        PointOutcome &outcome, unsigned worker,
-                        bool stolen) {
+    auto runPoint = [&](Experiment &experiment, std::size_t index,
+                        unsigned worker, bool stolen) {
+        const ExperimentPoint &point = points[index];
+        PointOutcome &outcome = batch.points[index];
         outcome.metrics.queueWaitMs = msSince(submit);
         outcome.metrics.worker = worker;
         outcome.metrics.stolen = stolen;
@@ -390,9 +423,9 @@ ParallelRunner::runPoints(const std::vector<ExperimentPoint> &points,
                 if (!WorkloadRegistry::instance().find(point.workload))
                     throw std::runtime_error("unknown workload '" +
                                              point.workload + "'");
-                outcome.result = experiment.run(point.workload,
-                                                point.mode,
-                                                point.opts);
+                outcome.result =
+                    experiment.run(point.workload, point.mode,
+                                   point.opts, pricing[index]);
                 outcome.ok = true;
                 outcome.status = PointStatus::Ok;
                 outcome.error.clear();
@@ -424,8 +457,7 @@ ParallelRunner::runPoints(const std::vector<ExperimentPoint> &points,
         for (std::size_t i = 0; i < points.size(); ++i) {
             if (!live[i])
                 continue;
-            runPoint(experiment, points[i], batch.points[i], 0,
-                     false);
+            runPoint(experiment, i, 0, false);
             completePoint(i);
         }
     } else {
@@ -449,8 +481,7 @@ ParallelRunner::runPoints(const std::vector<ExperimentPoint> &points,
                     stolen = true;
                     steals.fetch_add(1, std::memory_order_relaxed);
                 }
-                runPoint(experiment, points[index],
-                         batch.points[index], worker, stolen);
+                runPoint(experiment, index, worker, stolen);
                 completePoint(index);
             }
         };

@@ -311,6 +311,25 @@ class ParallelRunner
 };
 
 /**
+ * The lint pricing plan of a batch: for each point, the transfer
+ * modes its gate prices with the cost advisor (Experiment::run's
+ * pricedModes). Live points (@p live, one flag per point: not
+ * journal-restored, not a store hit) with the same (workload, size,
+ * geometry) and lint not Off form a group. The group's first live
+ * point in submission order gets every distinct mode of the group,
+ * in order of first appearance, and runs the full gate. Every other
+ * point gets an empty list and runs only the structural passes.
+ * Off and non-live points get an empty list and are in no group.
+ *
+ * A pure function of the batch, computed before any worker starts:
+ * which point prices a job never depends on worker scheduling, and
+ * nothing is shared between points while the batch runs.
+ */
+std::vector<std::vector<TransferMode>>
+planLintPricing(const std::vector<ExperimentPoint> &points,
+                const std::vector<char> &live);
+
+/**
  * Zeroed stand-in result for a quarantined point, carrying only the
  * point's identity (workload/mode/size). Keeps partial batches
  * report-shaped — findMode() still resolves — while the degraded-run

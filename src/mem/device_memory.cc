@@ -37,7 +37,7 @@ DeviceMemory::reserveRange(std::size_t rangeId, std::uint64_t chunkCount)
 {
     if (!trackLru_)
         return;
-    UVMASYNC_ASSERT(rangeId < kNil && chunkCount <= kNil,
+    UVMASYNC_ASSERT(rangeId < kNilRange && chunkCount <= kNilChunk,
                     "%s: range %zu of %llu chunks exceeds the LRU "
                     "index",
                     name().c_str(), rangeId,
@@ -55,10 +55,10 @@ DeviceMemory::linkedSlot(std::size_t rangeId, std::uint64_t chunkIndex)
 {
     if (rangeId >= links_.size() || chunkIndex >= links_[rangeId].size())
         return Slot{};
-    Slot s{static_cast<std::uint32_t>(rangeId),
+    Slot s{static_cast<std::uint16_t>(rangeId),
            static_cast<std::uint32_t>(chunkIndex)};
     // Only the head of a non-empty list has no predecessor.
-    if (at(s).prev.range != kNil || head_ == s)
+    if (at(s).prevRange != kNilRange || head_ == s)
         return s;
     return Slot{};
 }
@@ -67,28 +67,28 @@ void
 DeviceMemory::unlink(Slot s)
 {
     Link &link = at(s);
-    if (link.prev.range == kNil)
-        head_ = link.next;
+    if (link.prevRange == kNilRange)
+        head_ = link.next();
     else
-        at(link.prev).next = link.next;
-    if (link.next.range == kNil)
-        tail_ = link.prev;
+        at(link.prev()).setNext(link.next());
+    if (link.nextRange == kNilRange)
+        tail_ = link.prev();
     else
-        at(link.next).prev = link.prev;
-    link.prev = Slot{};
-    link.next = Slot{};
+        at(link.next()).setPrev(link.prev());
+    link.setPrev(Slot{});
+    link.setNext(Slot{});
 }
 
 void
 DeviceMemory::pushBack(Slot s)
 {
     Link &link = at(s);
-    link.prev = tail_;
-    link.next = Slot{};
-    if (tail_.range == kNil)
+    link.setPrev(tail_);
+    link.setNext(Slot{});
+    if (tail_.range == kNilRange)
         head_ = s;
     else
-        at(tail_).next = s;
+        at(tail_).setNext(s);
     tail_ = s;
 }
 
@@ -103,16 +103,21 @@ DeviceMemory::insert(ResidentChunk chunk)
                     static_cast<unsigned long long>(residentBytes_),
                     static_cast<unsigned long long>(capacity_));
     if (trackLru_) {
+        UVMASYNC_ASSERT(chunk.bytes <= UINT32_MAX,
+                        "%s: chunk of %llu bytes exceeds the LRU "
+                        "link's 4 GiB limit",
+                        name().c_str(),
+                        static_cast<unsigned long long>(chunk.bytes));
         UVMASYNC_ASSERT(linkedSlot(chunk.rangeId, chunk.chunkIndex)
-                                .range == kNil,
+                                .range == kNilRange,
                         "%s: chunk (%zu, %llu) inserted twice",
                         name().c_str(), chunk.rangeId,
                         static_cast<unsigned long long>(
                             chunk.chunkIndex));
         reserveRange(chunk.rangeId, chunk.chunkIndex + 1);
-        Slot s{static_cast<std::uint32_t>(chunk.rangeId),
+        Slot s{static_cast<std::uint16_t>(chunk.rangeId),
                static_cast<std::uint32_t>(chunk.chunkIndex)};
-        at(s).bytes = chunk.bytes;
+        at(s).bytes = static_cast<std::uint32_t>(chunk.bytes);
         pushBack(s);
     }
     residentBytes_ += chunk.bytes;
@@ -124,7 +129,7 @@ DeviceMemory::touch(std::size_t rangeId, std::uint64_t chunkIndex)
     if (!trackLru_)
         return;
     Slot s = linkedSlot(rangeId, chunkIndex);
-    if (s.range == kNil || s == tail_)
+    if (s.range == kNilRange || s == tail_)
         return;
     unlink(s);
     pushBack(s);
@@ -135,7 +140,7 @@ DeviceMemory::evictVictim()
 {
     UVMASYNC_ASSERT(trackLru_, "%s: eviction requires LRU tracking",
                     name().c_str());
-    UVMASYNC_ASSERT(head_.range != kNil,
+    UVMASYNC_ASSERT(head_.range != kNilRange,
                     "%s: eviction with nothing resident",
                     name().c_str());
     Slot s = head_;

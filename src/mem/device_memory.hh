@@ -35,7 +35,9 @@ struct ResidentChunk
  * The LRU order is an intrusive doubly-linked list threaded through
  * dense per-range link arrays indexed [rangeId][chunkIndex], so
  * insert(), touch() and evictVictim() are O(1) with no per-chunk
- * heap node and no hash index. A chunk is linked at most once.
+ * heap node and no hash index. A chunk is linked at most once. A
+ * link is 16 B, which limits range ids to 16 bits and chunk indices
+ * and chunk sizes to 32 bits.
  */
 class DeviceMemory : public SimObject
 {
@@ -68,14 +70,16 @@ class DeviceMemory : public SimObject
     /**
      * Size range @p rangeId's link array for @p chunkCount chunks up
      * front, so insert() never grows it. A no-op while LRU tracking
-     * is off.
+     * is off. Panics, before sizing anything, on a range id of
+     * 65535 or more or more than 2^32 - 1 chunks.
      */
     void reserveRange(std::size_t rangeId, std::uint64_t chunkCount);
 
     /**
      * Note a chunk arriving on the device (appends to LRU tail).
      * Call evictVictim() first until fits() holds. Panics if the
-     * chunk is already linked.
+     * chunk is already linked or, while LRU tracking is on, if it
+     * holds 4 GiB or more.
      */
     void insert(ResidentChunk chunk);
 
@@ -101,13 +105,15 @@ class DeviceMemory : public SimObject
     void resetStats() override;
 
   private:
-    static constexpr std::uint32_t kNil = UINT32_MAX;
+    static constexpr std::uint16_t kNilRange = UINT16_MAX;
+    static constexpr std::uint32_t kNilChunk = UINT32_MAX;
 
-    /** A (range, chunk) coordinate in links_; kNil = no chunk. */
+    /** A (range, chunk) coordinate in links_; a nil range = no
+     * chunk. */
     struct Slot
     {
-        std::uint32_t range = kNil;
-        std::uint32_t chunk = kNil;
+        std::uint16_t range = kNilRange;
+        std::uint32_t chunk = kNilChunk;
 
         bool operator==(const Slot &o) const
         {
@@ -115,13 +121,37 @@ class DeviceMemory : public SimObject
         }
     };
 
-    /** One chunk's LRU neighbours and its resident size. */
+    /**
+     * One chunk's LRU neighbours and its resident size, packed to
+     * 16 B: a Mega point tracks 2^18 of these, and a batch runs
+     * several such points at once.
+     */
     struct Link
     {
-        Slot prev;
-        Slot next;
-        Bytes bytes = 0;
+        std::uint32_t prevChunk = kNilChunk;
+        std::uint32_t nextChunk = kNilChunk;
+        std::uint32_t bytes = 0;
+        std::uint16_t prevRange = kNilRange;
+        std::uint16_t nextRange = kNilRange;
+
+        Slot prev() const { return Slot{prevRange, prevChunk}; }
+        Slot next() const { return Slot{nextRange, nextChunk}; }
+
+        void
+        setPrev(Slot s)
+        {
+            prevRange = s.range;
+            prevChunk = s.chunk;
+        }
+
+        void
+        setNext(Slot s)
+        {
+            nextRange = s.range;
+            nextChunk = s.chunk;
+        }
     };
+    static_assert(sizeof(Link) == 16, "LRU link must stay 16 B");
 
     Link &at(Slot s) { return links_[s.range][s.chunk]; }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <set>
 #include <utility>
@@ -130,6 +131,28 @@ TEST(DeviceMemoryDeathTest, DoubleInsertPanics)
     dev.insert(ResidentChunk{0, 3, kib(64)});
     EXPECT_DEATH(dev.insert(ResidentChunk{0, 3, kib(64)}),
                  "inserted twice");
+}
+
+TEST(DeviceMemoryDeathTest, RangeIdPastTheLinkLimitPanics)
+{
+    // Range ids are 16-bit in the link; the check fires before the
+    // range table is resized, so nothing large is allocated.
+    DeviceMemory dev("hbm", mib(1), Bandwidth::fromGBps(1400.0));
+    EXPECT_DEATH(dev.insert(ResidentChunk{UINT16_MAX, 0, kib(64)}),
+                 "exceeds the LRU index");
+    EXPECT_DEATH(dev.reserveRange(std::size_t{1} << 20, 1),
+                 "exceeds the LRU index");
+}
+
+TEST(DeviceMemoryDeathTest, ChunkOfFourGibPanics)
+{
+    // A link holds a 32-bit size; capacity is only accounting, so a
+    // large device allocates nothing here.
+    DeviceMemory dev("hbm", gib(16), Bandwidth::fromGBps(1400.0));
+    EXPECT_DEATH(dev.insert(ResidentChunk{0, 0, gib(4)}),
+                 "4 GiB limit");
+    dev.insert(ResidentChunk{0, 0, gib(4) - 1});
+    EXPECT_EQ(dev.evictVictim().bytes, gib(4) - 1);
 }
 
 /**

@@ -5,21 +5,26 @@
  * error isolation (one failing point does not poison the batch),
  * the empty-batch / jobs-greater-than-points edge cases, and the
  * differential-determinism and failure-isolation guarantees of the
- * fault-injection layer.
+ * fault-injection layer, and the batch's lint pricing plan (each job
+ * priced once, the same findings printed as per-mode gates).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "analysis/lint.hh"
+#include "common/logging.hh"
 #include "core/parallel_runner.hh"
 #include "inject/inject_plan.hh"
 #include "trace/chrome_export.hh"
 #include "trace/metrics.hh"
+#include "workloads/lambda_workload.hh"
 #include "workloads/registry.hh"
 
 namespace uvmasync
@@ -446,6 +451,216 @@ TEST(ParallelRunner, GlobalJobsOverrideAndRestore)
     EXPECT_EQ(runner.jobs(), 3u);
     setGlobalJobs(0); // restore auto
     EXPECT_GE(globalJobs(), 1u);
+}
+
+// --- lint pricing plan -----------------------------------------------
+
+/** One point per transfer mode of @p workload, in canonical order. */
+std::vector<ExperimentPoint>
+allModes(const std::string &workload, const ExperimentOptions &opts)
+{
+    std::vector<ExperimentPoint> points;
+    for (TransferMode mode : allTransferModes)
+        points.push_back(ExperimentPoint{workload, mode, opts});
+    return points;
+}
+
+std::vector<TransferMode>
+modeRange(std::size_t first, std::size_t last)
+{
+    return std::vector<TransferMode>(allTransferModes.begin() + first,
+                                     allTransferModes.begin() + last);
+}
+
+TEST(LintPricing, FiveModeGroupIsPricedByItsFirstPoint)
+{
+    std::vector<ExperimentPoint> points = allModes("saxpy", {});
+    std::vector<std::vector<TransferMode>> plan =
+        planLintPricing(points, std::vector<char>(points.size(), 1));
+    ASSERT_EQ(plan.size(), points.size());
+    EXPECT_EQ(plan[0], modeRange(0, 5));
+    for (std::size_t i = 1; i < plan.size(); ++i)
+        EXPECT_TRUE(plan[i].empty()) << "point " << i;
+}
+
+TEST(LintPricing, RestoredFirstPointHandsPricingToTheNextLivePoint)
+{
+    // A journal restore and a store hit both leave the point
+    // non-live; the group's next live point prices every mode still
+    // to run, and the skipped modes are not priced at all.
+    std::vector<ExperimentPoint> points = allModes("saxpy", {});
+    std::vector<std::vector<TransferMode>> plan =
+        planLintPricing(points, {0, 0, 1, 1, 1});
+    EXPECT_TRUE(plan[0].empty());
+    EXPECT_TRUE(plan[1].empty());
+    EXPECT_EQ(plan[2], modeRange(2, 5));
+    EXPECT_TRUE(plan[3].empty());
+    EXPECT_TRUE(plan[4].empty());
+
+    plan = planLintPricing(points, {0, 0, 0, 0, 0});
+    for (const std::vector<TransferMode> &modes : plan)
+        EXPECT_TRUE(modes.empty());
+}
+
+TEST(LintPricing, LintOffPointsNeitherPriceNorArePriced)
+{
+    std::vector<ExperimentPoint> points = allModes("saxpy", {});
+    points[0].opts.lint = LintMode::Off;
+    points[3].opts.lint = LintMode::Off;
+    points[4].opts.lint = LintMode::Warn; // Warn and Enforce group
+    std::vector<std::vector<TransferMode>> plan =
+        planLintPricing(points, std::vector<char>(points.size(), 1));
+    EXPECT_TRUE(plan[0].empty());
+    EXPECT_EQ(plan[1], (std::vector<TransferMode>{
+                           allTransferModes[1], allTransferModes[2],
+                           allTransferModes[4]}));
+    EXPECT_TRUE(plan[2].empty());
+    EXPECT_TRUE(plan[3].empty());
+    EXPECT_TRUE(plan[4].empty());
+}
+
+TEST(LintPricing, JobIdentitySplitsGroups)
+{
+    // A geometry override, a size or a workload makes another job,
+    // priced by its own first point; repeated modes (trials) are
+    // priced once.
+    ExperimentOptions wide;
+    wide.geometry.gridBlocks = 1024;
+    ExperimentOptions large;
+    large.size = SizeClass::Large;
+    std::vector<ExperimentPoint> points = {
+        {"saxpy", TransferMode::Standard, {}},
+        {"saxpy", TransferMode::Standard, wide},
+        {"saxpy", TransferMode::Uvm, {}},
+        {"saxpy", TransferMode::Uvm, wide},
+        {"saxpy", TransferMode::Uvm, large},
+        {"gemv", TransferMode::Uvm, {}},
+        {"saxpy", TransferMode::Standard, {}},
+    };
+    std::vector<std::vector<TransferMode>> plan =
+        planLintPricing(points, std::vector<char>(points.size(), 1));
+    std::vector<TransferMode> both = {TransferMode::Standard,
+                                      TransferMode::Uvm};
+    EXPECT_EQ(plan[0], both);
+    EXPECT_EQ(plan[1], both);
+    EXPECT_TRUE(plan[2].empty());
+    EXPECT_TRUE(plan[3].empty());
+    EXPECT_EQ(plan[4], std::vector<TransferMode>{TransferMode::Uvm});
+    EXPECT_EQ(plan[5], std::vector<TransferMode>{TransferMode::Uvm});
+    EXPECT_TRUE(plan[6].empty());
+}
+
+TEST(LintPricing, OnePointBatchPricesItsOwnMode)
+{
+    std::vector<ExperimentPoint> points = {
+        {"saxpy", TransferMode::UvmPrefetch, {}}};
+    EXPECT_EQ(planLintPricing(points, {1}),
+              std::vector<std::vector<TransferMode>>{
+                  {TransferMode::UvmPrefetch}});
+}
+
+/**
+ * A workload whose gate, on pricingSystem()'s 1 GiB device, prints
+ * UAL019 (the 1.52 GiB touched set thrashes), UAL021 (`tmp` is
+ * written but never observed) and UAL020 (sixteen passes of a random
+ * walk make several modes over 1.25x slower than the best).
+ */
+constexpr const char *kLintFixture = "lint-pricing-fixture";
+
+SystemConfig
+pricingSystem()
+{
+    SystemConfig sys = SystemConfig::a100Epyc();
+    sys.deviceMemoryBytes = gib(1);
+    return sys;
+}
+
+void
+registerLintFixture()
+{
+    registerAllWorkloads();
+    WorkloadRegistry &reg = WorkloadRegistry::instance();
+    if (reg.find(kLintFixture))
+        return;
+    WorkloadInfo info;
+    info.name = kLintFixture;
+    reg.add(std::make_unique<LambdaWorkload>(
+        info, [](SizeClass, const GeometryOverride &) {
+            Job job;
+            job.name = kLintFixture;
+            job.buffers = {JobBuffer{"in", mib(768), true, false},
+                           JobBuffer{"out", mib(768), false, true},
+                           JobBuffer{"tmp", mib(16), false, false}};
+            KernelDescriptor kd = makeStreamKernel(
+                "k0", 4096, 256, mib(768), kib(16), 4, 4.0, 4.0, 1.0,
+                0.5);
+            kd.buffers = {
+                KernelBufferUse{0, AccessPattern::Random, true, false,
+                                1.0, true},
+                KernelBufferUse{1, AccessPattern::Sequential, false,
+                                true, 1.0, true},
+                KernelBufferUse{2, AccessPattern::Sequential, false,
+                                true, 1.0, true},
+            };
+            job.kernels = {kd};
+            job.sequenceRepeats = 16;
+            return job;
+        }));
+}
+
+/** The lint finding lines of captured stderr, as a set. */
+std::set<std::string>
+findingLines(const std::string &err)
+{
+    std::set<std::string> lines;
+    std::istringstream in(err);
+    for (std::string line; std::getline(in, line);) {
+        if (line.find("[UAL") != std::string::npos)
+            lines.insert(line);
+    }
+    return lines;
+}
+
+TEST(LintPricing, BatchPrintsTheFindingsOfPerModeGates)
+{
+    registerLintFixture();
+    LogLevel savedLevel = logLevel();
+    setLogLevel(LogLevel::Inform);
+    SystemConfig sys = pricingSystem();
+    ExperimentOptions opts;
+    opts.size = SizeClass::Tiny;
+    opts.runs = 1;
+
+    Job job = WorkloadRegistry::instance().get(kLintFixture).makeJob(
+        opts.size);
+    std::string subject = std::string(kLintFixture) + " @ " +
+                          sizeClassName(opts.size);
+    resetLintPrintDedup();
+    ::testing::internal::CaptureStderr();
+    for (TransferMode mode : allTransferModes)
+        enforceLint(sys, job, subject, opts.lint, nullptr, nullptr,
+                    &mode);
+    std::set<std::string> expected =
+        findingLines(::testing::internal::GetCapturedStderr());
+    for (const char *code : {"UAL019", "UAL020", "UAL021"}) {
+        bool seen = false;
+        for (const std::string &line : expected)
+            seen = seen || line.find(code) != std::string::npos;
+        EXPECT_TRUE(seen) << code << " not printed; the fixture "
+                          << "no longer exercises it";
+    }
+
+    std::vector<ExperimentPoint> points = allModes(kLintFixture, opts);
+    for (unsigned jobs : {1u, 4u}) {
+        resetLintPrintDedup();
+        ::testing::internal::CaptureStderr();
+        BatchResult batch = ParallelRunner(sys, jobs).runPoints(points);
+        std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_TRUE(batch.allOk()) << "jobs=" << jobs;
+        EXPECT_EQ(findingLines(err), expected) << "jobs=" << jobs;
+    }
+    resetLintPrintDedup();
+    setLogLevel(savedLevel);
 }
 
 } // namespace
