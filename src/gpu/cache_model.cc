@@ -19,7 +19,6 @@ struct Stream
     Addr base;
     bool isStore;
     std::size_t quota;
-    bool bypass; // probes skipped entirely (cp.async path)
 };
 
 } // namespace
@@ -57,7 +56,6 @@ simulateL1(const GpuConfig &cfg, const KernelDescriptor &kd,
         AccessPattern pattern;
         Bytes footprint;
         bool isStore;
-        bool bypass;
         double weight;
         std::size_t bufferId;
     };
@@ -82,7 +80,6 @@ simulateL1(const GpuConfig &cfg, const KernelDescriptor &kd,
             p.pattern = use.pattern;
             p.footprint = footprint;
             p.isStore = false;
-            p.bypass = false;
             p.weight = static_cast<double>(footprint);
             p.bufferId = use.bufferId;
             if (async && use.stagedThroughShared) {
@@ -102,7 +99,6 @@ simulateL1(const GpuConfig &cfg, const KernelDescriptor &kd,
             p.pattern = use.pattern;
             p.footprint = footprint;
             p.isStore = true;
-            p.bypass = false;
             p.weight = static_cast<double>(footprint) * 0.5;
             p.bufferId = use.bufferId;
             if (async && use.stagedThroughShared) {
@@ -125,8 +121,7 @@ simulateL1(const GpuConfig &cfg, const KernelDescriptor &kd,
                       static_cast<double>(params.sampleAccesses)));
         streams.push_back(Stream{
             StreamGenerator(p.pattern, p.footprint, 4, ++streamSeed),
-            static_cast<Addr>(p.bufferId) << 40, p.isStore, quota,
-            p.bypass});
+            static_cast<Addr>(p.bufferId) << 40, p.isStore, quota});
     }
 
     // Interleave the streams round-robin until every quota drains;

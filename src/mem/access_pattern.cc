@@ -1,5 +1,7 @@
 #include "mem/access_pattern.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace uvmasync
@@ -99,63 +101,7 @@ StreamGenerator::StreamGenerator(AccessPattern pattern, Bytes footprint,
               static_cast<unsigned long long>(footprint_),
               static_cast<unsigned long long>(elementBytes_));
     numElements_ = footprint_ / elementBytes_;
-}
-
-Addr
-StreamGenerator::next()
-{
-    std::uint64_t element = 0;
-    switch (pattern_) {
-      case AccessPattern::Sequential:
-      case AccessPattern::Broadcast:
-        element = cursor_++ % numElements_;
-        break;
-      case AccessPattern::Strided:
-        element = (cursor_ * strideElements_) % numElements_ +
-                  (cursor_ * strideElements_ / numElements_) %
-                      strideElements_;
-        element %= numElements_;
-        ++cursor_;
-        break;
-      case AccessPattern::Tiled: {
-        // Walk a tile several times before moving to the next tile.
-        constexpr std::uint64_t reuse = 4;
-        std::uint64_t tile_span = std::min(tileElements_, numElements_);
-        element = (tileBase_ + tileCursor_ % tile_span) % numElements_;
-        ++tileCursor_;
-        if (tileCursor_ >= tile_span * reuse) {
-            tileCursor_ = 0;
-            tileBase_ = (tileBase_ + tile_span) % numElements_;
-        }
-        break;
-      }
-      case AccessPattern::Random:
-        element = rng_.uniformInt(numElements_);
-        break;
-      case AccessPattern::Irregular: {
-        // Mostly-local walk with occasional long jumps: models
-        // pointer-chasing / data-dependent indexing with some reuse.
-        if (rng_.chance(0.70)) {
-            element = (cursor_ + rng_.uniformInt(8)) % numElements_;
-            ++cursor_;
-        } else {
-            cursor_ = rng_.uniformInt(numElements_);
-            element = cursor_;
-        }
-        break;
-      }
-    }
-    return element * elementBytes_;
-}
-
-std::vector<Addr>
-StreamGenerator::generate(std::size_t n)
-{
-    std::vector<Addr> out;
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        out.push_back(next());
-    return out;
+    tileSpan_ = std::min(tileElements_, numElements_);
 }
 
 } // namespace uvmasync

@@ -15,7 +15,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -92,9 +91,6 @@ class StreamGenerator
     /** Next element address in the stream. */
     Addr next();
 
-    /** Generate @p n addresses at once. */
-    std::vector<Addr> generate(std::size_t n);
-
     AccessPattern pattern() const { return pattern_; }
 
   private:
@@ -102,14 +98,80 @@ class StreamGenerator
     Bytes footprint_;
     Bytes elementBytes_;
     std::uint64_t numElements_;
+    std::uint64_t tileSpan_; //!< Tiled: elements per tile
     Rng rng_;
+    /**
+     * Walk state, each counter wrapped in place of a modulo:
+     * Sequential/Broadcast: the element; Strided: (step * stride)
+     * mod numElements_, with lap_ the quotient; Tiled: the offset
+     * in the tile, with lap_ the passes over it; Irregular: its
+     * unwrapped cursor.
+     */
     std::uint64_t cursor_ = 0;
+    std::uint64_t lap_ = 0;
     std::uint64_t tileBase_ = 0;
-    std::uint64_t tileCursor_ = 0;
 
     static constexpr std::uint64_t tileElements_ = 1024;
     static constexpr std::uint64_t strideElements_ = 16;
 };
+
+inline Addr
+StreamGenerator::next()
+{
+    std::uint64_t element = 0;
+    switch (pattern_) {
+      case AccessPattern::Sequential:
+      case AccessPattern::Broadcast:
+        element = cursor_;
+        if (++cursor_ == numElements_)
+            cursor_ = 0;
+        break;
+      case AccessPattern::Strided:
+        // (step * stride) mod n, plus the lap count mod stride.
+        element = cursor_ + lap_ % strideElements_;
+        while (element >= numElements_)
+            element -= numElements_;
+        cursor_ += strideElements_;
+        while (cursor_ >= numElements_) {
+            cursor_ -= numElements_;
+            ++lap_;
+        }
+        break;
+      case AccessPattern::Tiled: {
+        // Walk a tile several times before moving to the next tile.
+        constexpr std::uint64_t reuse = 4;
+        element = tileBase_ + cursor_;
+        if (element >= numElements_)
+            element -= numElements_;
+        if (++cursor_ == tileSpan_) {
+            cursor_ = 0;
+            if (++lap_ == reuse) {
+                lap_ = 0;
+                tileBase_ += tileSpan_;
+                if (tileBase_ >= numElements_)
+                    tileBase_ -= numElements_;
+            }
+        }
+        break;
+      }
+      case AccessPattern::Random:
+        element = rng_.uniformInt(numElements_);
+        break;
+      case AccessPattern::Irregular: {
+        // Mostly-local walk with occasional long jumps: models
+        // pointer-chasing / data-dependent indexing with some reuse.
+        if (rng_.chance(0.70)) {
+            element = (cursor_ + rng_.uniformInt(8)) % numElements_;
+            ++cursor_;
+        } else {
+            cursor_ = rng_.uniformInt(numElements_);
+            element = cursor_;
+        }
+        break;
+      }
+    }
+    return element * elementBytes_;
+}
 
 } // namespace uvmasync
 

@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include <bit>
 #include <utility>
 
 #include "common/logging.hh"
@@ -25,110 +26,49 @@ CacheStats::storeMissRate() const
                  : 0.0;
 }
 
-SetAssocCache::SetAssocCache(std::string name, Bytes capacity,
-                             Bytes lineBytes, unsigned ways,
-                             ReplacementPolicy policy)
-    : SimObject(std::move(name)), capacity_(capacity),
-      lineBytes_(lineBytes), ways_(ways), policy_(policy),
-      rng_(0xcafef00dull)
+Divider::Divider(std::uint64_t d) : d_(d)
 {
-    UVMASYNC_ASSERT(lineBytes_ > 0 && ways_ > 0,
-                    "%s: bad geometry", this->name().c_str());
-    UVMASYNC_ASSERT(capacity_ % (lineBytes_ * ways_) == 0,
+    UVMASYNC_ASSERT(d_ > 0, "division by zero");
+    if (d_ == 1)
+        return;
+    // ceil(2^128 / d) == floor((2^128 - 1) / d) + 1; fits for d >= 2.
+    U128 m = ~U128{0} / d_ + 1;
+    mLo_ = static_cast<std::uint64_t>(m);
+    mHi_ = static_cast<std::uint64_t>(m >> 64);
+}
+
+namespace
+{
+
+/** Set count of a validated geometry. */
+std::uint64_t
+setCount(const std::string &name, Bytes capacity, Bytes lineBytes,
+         unsigned ways)
+{
+    UVMASYNC_ASSERT(lineBytes > 0 && ways > 0, "%s: bad geometry",
+                    name.c_str());
+    UVMASYNC_ASSERT(capacity % (lineBytes * ways) == 0,
                     "%s: capacity %llu not divisible by line*ways",
-                    this->name().c_str(),
-                    static_cast<unsigned long long>(capacity_));
-    std::size_t num_sets = capacity_ / (lineBytes_ * ways_);
-    UVMASYNC_ASSERT(num_sets > 0, "%s: zero sets", this->name().c_str());
-    sets_.resize(num_sets);
-    for (auto &set : sets_)
-        set.lines.resize(ways_);
+                    name.c_str(),
+                    static_cast<unsigned long long>(capacity));
+    std::uint64_t sets = capacity / (lineBytes * ways);
+    UVMASYNC_ASSERT(sets > 0, "%s: zero sets", name.c_str());
+    return sets;
 }
 
-int
-SetAssocCache::findLine(const Set &set, Addr tag) const
+} // namespace
+
+SetAssocCache::SetAssocCache(std::string name, Bytes capacity,
+                             Bytes lineBytes, unsigned ways)
+    : SimObject(std::move(name)), capacity_(capacity),
+      lineBytes_(lineBytes), ways_(ways),
+      lineShift_(std::has_single_bit(lineBytes)
+                     ? std::countr_zero(lineBytes)
+                     : -1),
+      setDiv_(setCount(this->name(), capacity, lineBytes, ways)),
+      tags_(setDiv_.divisor() * ways_, ~Addr{0}),
+      lastUse_(setDiv_.divisor() * ways_, 0)
 {
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (set.lines[w].valid && set.lines[w].tag == tag)
-            return static_cast<int>(w);
-    }
-    return -1;
-}
-
-unsigned
-SetAssocCache::victimWay(Set &set)
-{
-    // Prefer an invalid way.
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (!set.lines[w].valid)
-            return w;
-    }
-    if (policy_ == ReplacementPolicy::Random)
-        return static_cast<unsigned>(rng_.uniformInt(
-            static_cast<std::uint64_t>(ways_)));
-    unsigned victim = 0;
-    for (unsigned w = 1; w < ways_; ++w) {
-        if (set.lines[w].lastUse < set.lines[victim].lastUse)
-            victim = w;
-    }
-    return victim;
-}
-
-bool
-SetAssocCache::access(Addr addr, bool isWrite)
-{
-    Addr line_addr = addr / lineBytes_;
-    std::size_t set_idx = line_addr % sets_.size();
-    Addr tag = line_addr / sets_.size();
-    Set &set = sets_[set_idx];
-    ++useClock_;
-
-    int way = findLine(set, tag);
-    if (way >= 0) {
-        set.lines[static_cast<unsigned>(way)].lastUse = useClock_;
-        if (isWrite)
-            ++stats_.storeHits;
-        else
-            ++stats_.loadHits;
-        return true;
-    }
-
-    if (isWrite)
-        ++stats_.storeMisses;
-    else
-        ++stats_.loadMisses;
-
-    unsigned victim = victimWay(set);
-    set.lines[victim] = Line{true, tag, useClock_};
-    return false;
-}
-
-bool
-SetAssocCache::accessNoAllocate(Addr addr)
-{
-    Addr line_addr = addr / lineBytes_;
-    std::size_t set_idx = line_addr % sets_.size();
-    Addr tag = line_addr / sets_.size();
-    Set &set = sets_[set_idx];
-    ++useClock_;
-
-    int way = findLine(set, tag);
-    if (way >= 0) {
-        set.lines[static_cast<unsigned>(way)].lastUse = useClock_;
-        ++stats_.loadHits;
-        return true;
-    }
-    ++stats_.loadMisses;
-    return false;
-}
-
-void
-SetAssocCache::flush()
-{
-    for (auto &set : sets_) {
-        for (auto &line : set.lines)
-            line = Line{};
-    }
 }
 
 void

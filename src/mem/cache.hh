@@ -1,6 +1,6 @@
 /**
  * @file
- * A set-associative cache model with pluggable replacement.
+ * A set-associative LRU cache model.
  *
  * Used to simulate the A100's unified L1/texture cache under the five
  * data-transfer configurations (Figures 10 and 13 of the paper). The
@@ -16,18 +16,43 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hh"
 #include "common/types.hh"
 #include "sim/sim_object.hh"
 
 namespace uvmasync
 {
 
-/** Replacement policy selection for SetAssocCache. */
-enum class ReplacementPolicy
+/**
+ * Exact n / d for a divisor fixed at construction, without a
+ * division instruction: M = ceil(2^128 / d) and n / d is the high
+ * 64 bits of the 192-bit product M * n (Lemire, Kaser and Kurz,
+ * "Faster remainder by direct computation", 2019). Exact for every
+ * 64-bit n and every d >= 1; d == 1 is the identity. n % d is then
+ * n - d * (n / d).
+ */
+class Divider
 {
-    Lru,
-    Random,
+  public:
+    explicit Divider(std::uint64_t d);
+
+    std::uint64_t divisor() const { return d_; }
+
+    std::uint64_t
+    quotient(std::uint64_t n) const
+    {
+        if (d_ == 1)
+            return n;
+        U128 lo = static_cast<U128>(n) * mLo_;
+        U128 hi = static_cast<U128>(n) * mHi_;
+        return static_cast<std::uint64_t>((hi + (lo >> 64)) >> 64);
+    }
+
+  private:
+    using U128 = unsigned __int128;
+
+    std::uint64_t d_;
+    std::uint64_t mLo_ = 0; //!< low 64 bits of M
+    std::uint64_t mHi_ = 0; //!< high 64 bits of M
 };
 
 /** Per-class hit/miss counters. */
@@ -51,7 +76,9 @@ struct CacheStats
 };
 
 /**
- * Set-associative, write-allocate cache with selectable replacement.
+ * Set-associative, write-allocate LRU cache. Tags and last-use stamps
+ * live in two flat set-major arrays; one pass over a set's ways both
+ * finds the tag and picks the victim.
  */
 class SetAssocCache : public SimObject
 {
@@ -61,16 +88,14 @@ class SetAssocCache : public SimObject
      * @param capacity  total bytes (must be a multiple of line * ways)
      * @param lineBytes cache line size
      * @param ways      associativity
-     * @param policy    replacement policy
      */
     SetAssocCache(std::string name, Bytes capacity, Bytes lineBytes,
-                  unsigned ways, ReplacementPolicy policy =
-                      ReplacementPolicy::Lru);
+                  unsigned ways);
 
     Bytes capacity() const { return capacity_; }
     Bytes lineBytes() const { return lineBytes_; }
     unsigned ways() const { return ways_; }
-    std::size_t sets() const { return sets_.size(); }
+    std::size_t sets() const { return setDiv_.divisor(); }
 
     /**
      * Perform one access. @return true on hit.
@@ -78,49 +103,64 @@ class SetAssocCache : public SimObject
      */
     bool access(Addr addr, bool isWrite);
 
-    /**
-     * A load that bypasses allocation on miss (models the async-copy
-     * global->shared path, which does not stage data in L1 sectors
-     * destined for the register file). Still probes for hits.
-     */
-    bool accessNoAllocate(Addr addr);
-
-    /** Invalidate everything (keeps statistics). */
-    void flush();
-
     const CacheStats &stats() const { return stats_; }
 
     void exportStats(StatMap &out) const override;
     void resetStats() override;
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        Addr tag = 0;
-        std::uint64_t lastUse = 0;
-    };
-
-    struct Set
-    {
-        std::vector<Line> lines;
-    };
-
-    /** Locate @p tag in @p set; returns way index or -1. */
-    int findLine(const Set &set, Addr tag) const;
-
-    /** Pick a victim way in @p set. */
-    unsigned victimWay(Set &set);
-
     Bytes capacity_;
     Bytes lineBytes_;
     unsigned ways_;
-    ReplacementPolicy policy_;
-    std::vector<Set> sets_;
+    /** log2(lineBytes_), or -1 when the line size is not a power of 2. */
+    int lineShift_;
+    Divider setDiv_;
+    /**
+     * Way w of set s is slot s * ways_ + w. An invalid way holds tag
+     * ~Addr{0} and last use 0; every valid way's last use is a
+     * distinct clock value >= 1, so the first minimum last use is the
+     * first invalid way, else the LRU way.
+     */
+    std::vector<Addr> tags_;
+    std::vector<std::uint64_t> lastUse_;
     CacheStats stats_;
     std::uint64_t useClock_ = 0;
-    Rng rng_;
 };
+
+inline bool
+SetAssocCache::access(Addr addr, bool isWrite)
+{
+    Addr line = lineShift_ >= 0 ? addr >> lineShift_ : addr / lineBytes_;
+    Addr tag = setDiv_.quotient(line);
+    std::size_t base = (line - tag * setDiv_.divisor()) * ways_;
+    Addr *tags = &tags_[base];
+    std::uint64_t *lastUse = &lastUse_[base];
+    ++useClock_;
+
+    unsigned victim = 0;
+    for (unsigned w = 0; w < ways_; ++w) {
+        // lastUse 0 marks an invalid way: a tag of ~0 (line size 1,
+        // one set) must not hit the sentinel.
+        if (tags[w] == tag && lastUse[w] != 0) {
+            lastUse[w] = useClock_;
+            if (isWrite)
+                ++stats_.storeHits;
+            else
+                ++stats_.loadHits;
+            return true;
+        }
+        if (lastUse[w] < lastUse[victim])
+            victim = w;
+    }
+
+    if (isWrite)
+        ++stats_.storeMisses;
+    else
+        ++stats_.loadMisses;
+    tags[victim] = tag;
+    lastUse[victim] = useClock_;
+    return false;
+}
 
 } // namespace uvmasync
 

@@ -71,24 +71,13 @@ TEST(Cache, TouchRefreshesLru)
     EXPECT_FALSE(c.access(1 * stride, false));
 }
 
-TEST(Cache, NoAllocateProbeDoesNotFill)
-{
-    SetAssocCache c = smallCache();
-    EXPECT_FALSE(c.accessNoAllocate(0x100));
-    EXPECT_FALSE(c.accessNoAllocate(0x100)); // still not resident
-    c.access(0x100, false);
-    EXPECT_TRUE(c.accessNoAllocate(0x100));
-}
-
-TEST(Cache, FlushInvalidatesKeepsStats)
+TEST(Cache, ResetStatsKeepsContents)
 {
     SetAssocCache c = smallCache();
     c.access(0x100, false);
-    c.flush();
-    EXPECT_FALSE(c.access(0x100, false));
-    EXPECT_EQ(c.stats().loadMisses, 2u);
     c.resetStats();
     EXPECT_EQ(c.stats().loads(), 0u);
+    EXPECT_TRUE(c.access(0x100, false));
 }
 
 TEST(Cache, SequentialStreamMissRateIsElementOverLine)
@@ -129,13 +118,6 @@ TEST(Cache, ThrashingWorkingSetKeepsMissing)
         misses_before = misses;
     }
     EXPECT_GT(c.stats().loadMissRate(), 0.95);
-}
-
-TEST(Cache, RandomReplacementStillCaches)
-{
-    SetAssocCache c("l1", kib(4), 32, 4, ReplacementPolicy::Random);
-    c.access(0x40, false);
-    EXPECT_TRUE(c.access(0x40, false));
 }
 
 TEST(CacheStats, RatesHandleZeroAccesses)
