@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/logging.hh"
+#include "common/table.hh"
 #include "inject/inject_plan.hh"
 
 namespace uvmasync
@@ -21,13 +22,32 @@ std::mutex printedLintMutex;
 std::set<std::string> printedLintFindings;
 
 bool
-firstPrint(const Diagnostic &d)
+firstPrint(std::string key)
 {
-    std::string key = std::string(d.code()) + "|" +
-                      d.loc.toString() + "|" + d.subject + "|" +
-                      d.message;
     std::lock_guard<std::mutex> lock(printedLintMutex);
     return printedLintFindings.insert(std::move(key)).second;
+}
+
+bool
+firstPrint(const Diagnostic &d)
+{
+    return firstPrint(std::string(d.code()) + "|" + d.loc.toString() +
+                      "|" + d.subject + "|" + d.message);
+}
+
+/** The campaign advisor's one-line verdict, once per subject. */
+void
+printAdvisorLine(const CostReport &rep, const std::string &subject)
+{
+    if (logLevel() < LogLevel::Inform ||
+        !firstPrint("advisor|" + subject))
+        return;
+    inform("advisor: %s — predicted winner %s, async/uvm = %s (%s); "
+           "`uvmasync-lint --analyze` prints the full cost table",
+           subject.c_str(), transferModeName(rep.bestMode),
+           fmtDouble(rep.asyncOverUvm, 2).c_str(),
+           rep.asyncOverUvm > 1.0 ? "uvm family predicted ahead"
+                                  : "explicit family predicted ahead");
 }
 
 DiagnosticEngine
@@ -107,8 +127,8 @@ gate(const LintContext &ctx, const LintOptions &opts, LintMode mode)
             listing += "\n  " + d.format();
         }
         fatal("model lint failed for %s (%s):%s\n"
-              "(re-run with --lint=warn to simulate anyway, or "
-              "--lint=off to skip the linter)",
+              "(re-run with --lint warn to simulate anyway, or "
+              "--lint off to skip the linter)",
               ctx.subject.c_str(), diags.summary().c_str(),
               listing.c_str());
     }
@@ -134,11 +154,13 @@ DiagnosticEngine
 lintJob(const SystemConfig &system, const Job &job,
         const std::string &subject, const KvConfig *systemKv,
         const KvConfig *jobKv, const LintOptions &opts,
-        const TransferMode *transferMode)
+        const TransferMode *transferMode,
+        std::optional<CostReport> *costReport)
 {
-    return runPipeline(jobContext(system, job, subject, systemKv,
-                                  jobKv, transferMode),
-                       opts);
+    LintContext ctx =
+        jobContext(system, job, subject, systemKv, jobKv, transferMode);
+    ctx.costReport = costReport;
+    return runPipeline(ctx, opts);
 }
 
 DiagnosticEngine
@@ -160,10 +182,16 @@ enforceBatchLint(const SystemConfig &system, const Job &job,
     LintContext ctx =
         jobContext(system, job, subject, nullptr, nullptr, nullptr);
     ctx.modes = pricedModes;
+    std::optional<CostReport> report;
     LintOptions opts;
     if (pricedModes.empty())
         opts.passes = structuralPasses();
-    return gate(ctx, opts, mode);
+    else
+        ctx.costReport = &report;
+    DiagnosticEngine diags = gate(ctx, opts, mode);
+    if (report)
+        printAdvisorLine(*report, ctx.subject);
+    return diags;
 }
 
 DiagnosticEngine

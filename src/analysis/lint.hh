@@ -8,6 +8,7 @@
 #ifndef UVMASYNC_ANALYSIS_LINT_HH
 #define UVMASYNC_ANALYSIS_LINT_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,14 +43,17 @@ DiagnosticEngine lintSystemConfig(const SystemConfig &system,
 
 /**
  * Lint a job under a system configuration; @p subject labels the
- * findings ("gemm @ super", a jobfile path, ...).
+ * findings ("gemm @ super", a jobfile path, ...). When @p costReport
+ * is set, the cost-advisor pass leaves the report it priced there
+ * (it stays empty if the pass did not run or could not price).
  */
 DiagnosticEngine lintJob(const SystemConfig &system, const Job &job,
                          const std::string &subject,
                          const KvConfig *systemKv = nullptr,
                          const KvConfig *jobKv = nullptr,
                          const LintOptions &opts = {},
-                         const TransferMode *transferMode = nullptr);
+                         const TransferMode *transferMode = nullptr,
+                         std::optional<CostReport> *costReport = nullptr);
 
 /**
  * Pre-run gate used by the CLI jobfile path (Experiment::run gates
@@ -76,6 +80,12 @@ DiagnosticEngine enforceLint(const SystemConfig &system, const Job &job,
  * @p pricedModes. An empty list runs only the structural passes,
  * the only ones that can fail the gate: the cost advisor emits notes
  * and warnings, so skipping it leaves the verdict unchanged.
+ *
+ * A pricing point (non-empty list) also prints the campaign advisor
+ * line ("advisor: <subject> — predicted winner ...") at inform level
+ * from the report the cost-advisor pass built, once per subject per
+ * process through the same dedup as the findings. Nothing prints
+ * under LintMode::Off, nor when the pass could not price the model.
  */
 DiagnosticEngine enforceBatchLint(const SystemConfig &system,
                                   const Job &job,
@@ -83,7 +93,8 @@ DiagnosticEngine enforceBatchLint(const SystemConfig &system,
                                   LintMode mode,
                                   const std::vector<TransferMode> &pricedModes);
 
-/** Forget which findings enforceLint has printed (tests). */
+/** Forget which findings and advisor lines the gates have printed
+ * (tests). */
 void resetLintPrintDedup();
 
 /** Parse off/warn/enforce; returns false (out untouched) if unknown. */

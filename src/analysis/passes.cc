@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "analysis/cost_model.hh"
 #include "common/logging.hh"
@@ -839,6 +840,8 @@ class CostAdvisorPass : public AnalysisPass
                     "; headroom this thin risks a mid-sweep "
                     "PointTimeout");
         }
+        if (ctx.costReport)
+            *ctx.costReport = std::move(rep);
     }
 };
 

@@ -13,10 +13,12 @@
 #define UVMASYNC_ANALYSIS_PASSES_HH
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "analysis/cost_model.hh"
 #include "analysis/diagnostic.hh"
 #include "common/kv_config.hh"
 #include "gpu/transfer_mode.hh"
@@ -48,6 +50,11 @@ struct LintContext
 
     /** Human-readable model name ("gemm @ super", "file.ini"). */
     std::string subject;
+
+    /** Where the cost-advisor pass leaves the report it priced;
+     * untouched when the pass does not run or cannot price the
+     * model. Set only by the lint entry points (lint.hh). */
+    std::optional<CostReport> *costReport = nullptr;
 };
 
 /** One static check bundle. */

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/parallel_runner.hh"
+#include "core/report.hh"
 #include "runtime/noise_model.hh"
 #include "workloads/registry.hh"
 
@@ -125,21 +125,7 @@ Experiment::runAllModes(const std::string &workloadName,
 
     // A failed mode degrades the set instead of killing it: its cell
     // keeps a zeroed placeholder and the caller sees a banner.
-    if (batch.degraded()) {
-        warn("DEGRADED RUN: %zu of %zu modes of '%s' quarantined; "
-             "their cells hold zeroed placeholder results",
-             batch.quarantined(), points.size(),
-             workloadName.c_str());
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const PointOutcome &out = batch.points[i];
-            if (!out.ok)
-                warn("  %s/%s %s after %u attempt(s): %s",
-                     points[i].workload.c_str(),
-                     transferModeName(points[i].mode),
-                     pointStatusName(out.status), out.attempts,
-                     out.error.c_str());
-        }
-    }
+    reportDegradedBatch(points, batch);
     std::vector<ExperimentResult> results;
     results.reserve(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {

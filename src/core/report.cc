@@ -1,6 +1,7 @@
 #include "core/report.hh"
 
 #include <cmath>
+#include <iostream>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -144,6 +145,21 @@ robustnessTable(const std::vector<ExperimentPoint> &points,
                       std::to_string(out.attempts), out.error});
     }
     return table;
+}
+
+bool
+reportDegradedBatch(const std::vector<ExperimentPoint> &points,
+                    const BatchResult &batch)
+{
+    if (!batch.degraded())
+        return false;
+    warn("DEGRADED RUN: %zu of %zu points quarantined after retries; "
+         "results are partial",
+         batch.quarantined(), batch.points.size());
+    if (logLevel() >= LogLevel::Warn)
+        printTable(std::cerr, "robustness (quarantined points)",
+                   robustnessTable(points, batch));
+    return true;
 }
 
 TextTable

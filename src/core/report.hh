@@ -81,6 +81,15 @@ TextTable robustnessTable(const std::vector<ExperimentPoint> &points,
                           const BatchResult &batch);
 
 /**
+ * The one degraded-run report of every batch caller (CLI verbs,
+ * sweeps, Experiment::runAllModes): when any point of @p batch was
+ * quarantined, print the "DEGRADED RUN" banner and robustnessTable to
+ * stderr, so stdout stays data only. Returns batch.degraded().
+ */
+bool reportDegradedBatch(const std::vector<ExperimentPoint> &points,
+                         const BatchResult &batch);
+
+/**
  * Per-resource utilization summary folded out of traced results: one
  * row per workload x mode with PCIe busy/queueing, fault batching,
  * prefetch accuracy and kernel/transfer overlap (see trace/metrics.hh

@@ -1,6 +1,7 @@
 #include "core/sweep.hh"
 
 #include "common/logging.hh"
+#include "core/report.hh"
 
 namespace uvmasync
 {
@@ -21,20 +22,7 @@ runSweepGrid(Experiment &experiment, const SweepGrid &grid,
 {
     ParallelRunner runner(experiment.system());
     BatchResult batch = runner.runPoints(grid.points, policy);
-    if (batch.degraded()) {
-        warn("DEGRADED RUN: %zu of %zu sweep cells quarantined; "
-             "their cells hold zeroed placeholder results",
-             batch.quarantined(), grid.points.size());
-        for (std::size_t i = 0; i < grid.points.size(); ++i) {
-            const PointOutcome &out = batch.points[i];
-            if (!out.ok)
-                warn("  %s/%s %s after %u attempt(s): %s",
-                     grid.points[i].workload.c_str(),
-                     transferModeName(grid.points[i].mode),
-                     pointStatusName(out.status), out.attempts,
-                     out.error.c_str());
-        }
-    }
+    reportDegradedBatch(grid.points, batch);
     return assembleSweepPoints(grid, batch);
 }
 

@@ -17,63 +17,8 @@ MigrationEngine::MigrationEngine(std::string name, UvmConfig cfg,
     : SimObject(std::move(name)), cfg_(cfg), table_(table),
       devMem_(devMem), link_(link),
       faultHandler_(this->name() + ".faults", cfg.fault),
-      prefetcher_(makePrefetcher(cfg.demandPrefetcher,
-                                 this->name() + ".prefetcher")),
-      pfKind_(prefetcher_->kind())
+      prefetcher_(this->name() + ".prefetcher", cfg.demandPrefetcher)
 {
-    // Seal the concrete view once; the hot hooks below dispatch on
-    // pfKind_ without touching the vtable again.
-    switch (pfKind_) {
-      case PrefetcherKind::None:
-        pfNone_ = static_cast<NonePrefetcher *>(prefetcher_.get());
-        break;
-      case PrefetcherKind::Stream:
-        pfStream_ = static_cast<StreamPrefetcher *>(prefetcher_.get());
-        break;
-      case PrefetcherKind::Tree:
-        pfTree_ = static_cast<TreePrefetcher *>(prefetcher_.get());
-        break;
-    }
-}
-
-void
-MigrationEngine::prefetchUseful(std::size_t rangeId)
-{
-    switch (pfKind_) {
-      case PrefetcherKind::None: pfNone_->noteUseful(); break;
-      case PrefetcherKind::Stream: pfStream_->noteUseful(); break;
-      case PrefetcherKind::Tree: pfTree_->noteUseful(rangeId); break;
-    }
-}
-
-void
-MigrationEngine::prefetchWasted(std::size_t rangeId)
-{
-    switch (pfKind_) {
-      case PrefetcherKind::None: pfNone_->noteWasted(); break;
-      case PrefetcherKind::Stream: pfStream_->noteWasted(); break;
-      case PrefetcherKind::Tree: pfTree_->noteWasted(rangeId); break;
-    }
-}
-
-const std::vector<PrefetchCandidate> &
-MigrationEngine::prefetchOnMiss(std::size_t rangeId, std::uint64_t chunk,
-                                std::uint64_t chunkCount)
-{
-    candidateBuf_.clear();
-    switch (pfKind_) {
-      case PrefetcherKind::None:
-        break;
-      case PrefetcherKind::Stream:
-        pfStream_->appendCandidates(rangeId, chunk, chunkCount,
-                                    candidateBuf_);
-        break;
-      case PrefetcherKind::Tree:
-        pfTree_->appendCandidates(rangeId, chunk, chunkCount,
-                                  candidateBuf_);
-        break;
-    }
-    return candidateBuf_;
 }
 
 void
@@ -91,7 +36,7 @@ MigrationEngine::beginJob()
     devMem_.setLruTracking(managed > devMem_.capacity() * 9 / 10 ||
                            (inject_ && inject_->stormsEnabled()));
     faultHandler_.reset();
-    prefetcher_->resetStats();
+    prefetcher_.resetStats();
     rangeState_.clear();
     syncRanges();
     jobTransferBusy_ = 0;
@@ -155,7 +100,7 @@ MigrationEngine::evictOne(Tick freeAt)
     }
     if (state.prefetched[victim.chunkIndex] &&
         !state.demanded[victim.chunkIndex]) {
-        prefetchWasted(victim.rangeId);
+        prefetcher_.noteWasted(victim.rangeId);
         if (state.outstandingPrefetches > 0)
             --state.outstandingPrefetches;
         if (tracer_) {
@@ -258,7 +203,7 @@ MigrationEngine::requestChunk(std::size_t rangeId, std::uint64_t chunk,
         devMem_.touch(rangeId, chunk);
         Tick ready = state.readyAt[chunk];
         if (!state.demanded[chunk] && state.prefetched[chunk]) {
-            prefetchUseful(rangeId);
+            prefetcher_.noteUseful(rangeId);
             if (state.outstandingPrefetches > 0)
                 --state.outstandingPrefetches;
             if (tracer_) {
@@ -280,7 +225,7 @@ MigrationEngine::requestChunk(std::size_t rangeId, std::uint64_t chunk,
     }
     if (state.outstandingPrefetches > 0) {
         // The speculation failed to cover this demand; cool down.
-        prefetchWasted(rangeId);
+        prefetcher_.noteWasted(rangeId);
         --state.outstandingPrefetches;
         if (tracer_) {
             tracer_->instant(TraceCategory::Prefetch,
@@ -295,13 +240,14 @@ MigrationEngine::requestChunk(std::size_t rangeId, std::uint64_t chunk,
     state.demanded[chunk] = true;
 
     // Let the driver prefetcher ride along on the fault. Index loop:
-    // candidateBuf_ is stable during the migrations (see
-    // prefetchOnMiss), but an index keeps that independent of any
-    // future reallocation.
-    const std::vector<PrefetchCandidate> &candidates =
-        prefetchOnMiss(rangeId, chunk, range.chunkCount());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        const PrefetchCandidate &cand = candidates[i];
+    // nothing downstream of a candidate migration (evictOne's waste
+    // feedback included) appends to candidateBuf_, but an index keeps
+    // that independent of any future reallocation.
+    candidateBuf_.clear();
+    prefetcher_.appendCandidates(rangeId, chunk, range.chunkCount(),
+                                 candidateBuf_);
+    for (std::size_t i = 0; i < candidateBuf_.size(); ++i) {
+        const PrefetchCandidate &cand = candidateBuf_[i];
         ManagedRange &crange = table_.range(cand.rangeId);
         if (crange.state(cand.chunkIndex) == ChunkState::DeviceResident)
             continue;
@@ -492,7 +438,7 @@ MigrationEngine::exportStats(StatMap &out) const
     putStat(out, "unused_prefetches",
             static_cast<double>(unusedPrefetches()));
     faultHandler_.exportStats(out);
-    prefetcher_->exportStats(out);
+    prefetcher_.exportStats(out);
 }
 
 void
@@ -501,7 +447,7 @@ MigrationEngine::resetStats()
     jobTransferBusy_ = 0;
     jobFaults_ = 0;
     faultHandler_.resetStats();
-    prefetcher_->resetStats();
+    prefetcher_.resetStats();
 }
 
 } // namespace uvmasync

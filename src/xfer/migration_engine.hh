@@ -15,7 +15,6 @@
 #define UVMASYNC_XFER_MIGRATION_ENGINE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -176,7 +175,7 @@ class MigrationEngine : public SimObject
     /** Prefetched-but-never-demanded chunks this job. */
     std::uint64_t unusedPrefetches() const;
 
-    const Prefetcher &prefetcher() const { return *prefetcher_; }
+    const Prefetcher &prefetcher() const { return prefetcher_; }
 
     void exportStats(StatMap &out) const override;
     void resetStats() override;
@@ -205,42 +204,15 @@ class MigrationEngine : public SimObject
     Tick migrateChunk(std::size_t rangeId, std::uint64_t chunk, Tick when,
                       TransferKind kind, bool speculative);
 
-    /**
-     * @{ Sealed-variant prefetcher dispatch. The model set is closed
-     * (PrefetcherKind), so the per-access feedback and miss hooks
-     * switch on the tag sealed at construction and call the concrete
-     * classes' non-virtual methods directly — no vtable hop, and the
-     * miss path fills a reused candidate buffer instead of returning
-     * a fresh vector per fault.
-     */
-    void prefetchUseful(std::size_t rangeId);
-    void prefetchWasted(std::size_t rangeId);
-
-    /**
-     * Candidates for a demand miss; valid until the next call. Only
-     * prefetchOnMiss() writes candidateBuf_, and nothing downstream
-     * of a candidate migration (evictOne's waste feedback included)
-     * re-enters it, so callers may iterate the reference in place.
-     */
-    const std::vector<PrefetchCandidate> &
-    prefetchOnMiss(std::size_t rangeId, std::uint64_t chunk,
-                   std::uint64_t chunkCount);
-    /** @} */
-
     UvmConfig cfg_;
     PageTable &table_;
     DeviceMemory &devMem_;
     PcieLink &link_;
     FaultHandler faultHandler_;
-    std::unique_ptr<Prefetcher> prefetcher_;
+    Prefetcher prefetcher_;
 
-    /** Sealed at construction: tag + concrete view of prefetcher_. */
-    PrefetcherKind pfKind_;
-    NonePrefetcher *pfNone_ = nullptr;
-    StreamPrefetcher *pfStream_ = nullptr;
-    TreePrefetcher *pfTree_ = nullptr;
-
-    /** Reused by prefetchOnMiss(); never shrinks across faults. */
+    /** A demand miss's prefetch candidates; never shrinks across
+     * faults. */
     std::vector<PrefetchCandidate> candidateBuf_;
 
     std::vector<RangeState> rangeState_;

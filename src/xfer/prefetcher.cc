@@ -1,10 +1,5 @@
 #include "xfer/prefetcher.hh"
 
-#include <algorithm>
-#include <utility>
-
-#include "common/logging.hh"
-
 namespace uvmasync
 {
 
@@ -32,121 +27,7 @@ Prefetcher::resetStats()
     issued_ = 0;
     useful_ = 0;
     wasted_ = 0;
-    resetState();
-}
-
-StreamPrefetcher::StreamPrefetcher(std::string name,
-                                   std::uint32_t distance)
-    : Prefetcher(std::move(name), PrefetcherKind::Stream),
-      distance_(distance)
-{
-    UVMASYNC_ASSERT(distance_ > 0, "stream prefetcher needs distance > 0");
-}
-
-void
-StreamPrefetcher::appendCandidates(std::size_t rangeId,
-                                   std::uint64_t chunkIndex,
-                                   std::uint64_t chunkCount,
-                                   std::vector<PrefetchCandidate> &out)
-{
-    std::size_t before = out.size();
-    for (std::uint32_t i = 1; i <= distance_; ++i) {
-        std::uint64_t next = chunkIndex + i;
-        if (next >= chunkCount)
-            break;
-        out.push_back(PrefetchCandidate{rangeId, next});
-    }
-    recordIssued(out.size() - before);
-}
-
-std::vector<PrefetchCandidate>
-StreamPrefetcher::onDemandMiss(std::size_t rangeId,
-                               std::uint64_t chunkIndex,
-                               std::uint64_t chunkCount)
-{
-    std::vector<PrefetchCandidate> out;
-    appendCandidates(rangeId, chunkIndex, chunkCount, out);
-    return out;
-}
-
-TreePrefetcher::TreePrefetcher(std::string name, std::uint32_t minDistance,
-                               std::uint32_t maxDistance)
-    : Prefetcher(std::move(name), PrefetcherKind::Tree),
-      minDistance_(minDistance), maxDistance_(maxDistance)
-{
-    UVMASYNC_ASSERT(minDistance_ > 0 && maxDistance_ >= minDistance_,
-                    "bad tree prefetcher distances [%u, %u]",
-                    minDistance_, maxDistance_);
-}
-
-void
-TreePrefetcher::appendCandidates(std::size_t rangeId,
-                                 std::uint64_t chunkIndex,
-                                 std::uint64_t chunkCount,
-                                 std::vector<PrefetchCandidate> &out)
-{
-    auto [it, inserted] = distance_.try_emplace(rangeId, minDistance_);
-    std::uint32_t dist = it->second;
-    std::size_t before = out.size();
-    for (std::uint32_t i = 1; i <= dist; ++i) {
-        std::uint64_t next = chunkIndex + i;
-        if (next >= chunkCount)
-            break;
-        out.push_back(PrefetchCandidate{rangeId, next});
-    }
-    recordIssued(out.size() - before);
-}
-
-std::vector<PrefetchCandidate>
-TreePrefetcher::onDemandMiss(std::size_t rangeId,
-                             std::uint64_t chunkIndex,
-                             std::uint64_t chunkCount)
-{
-    std::vector<PrefetchCandidate> out;
-    appendCandidates(rangeId, chunkIndex, chunkCount, out);
-    return out;
-}
-
-void
-TreePrefetcher::noteUseful(std::size_t rangeId)
-{
-    recordUseful();
-    auto [it, inserted] = distance_.try_emplace(rangeId, minDistance_);
-    it->second = std::min(maxDistance_, it->second * 2);
-}
-
-void
-TreePrefetcher::noteWasted(std::size_t rangeId)
-{
-    recordWasted();
-    auto [it, inserted] = distance_.try_emplace(rangeId, minDistance_);
-    it->second = minDistance_;
-}
-
-void
-TreePrefetcher::onUsefulPrefetch(std::size_t rangeId)
-{
-    noteUseful(rangeId);
-}
-
-void
-TreePrefetcher::onWastedPrefetch(std::size_t rangeId)
-{
-    noteWasted(rangeId);
-}
-
-std::unique_ptr<Prefetcher>
-makePrefetcher(PrefetcherKind kind, std::string name)
-{
-    switch (kind) {
-      case PrefetcherKind::None:
-        return std::make_unique<NonePrefetcher>(std::move(name));
-      case PrefetcherKind::Stream:
-        return std::make_unique<StreamPrefetcher>(std::move(name), 8);
-      case PrefetcherKind::Tree:
-        return std::make_unique<TreePrefetcher>(std::move(name));
-    }
-    panic("unknown prefetcher kind %d", static_cast<int>(kind));
+    treeDistance_.clear();
 }
 
 } // namespace uvmasync

@@ -1,26 +1,29 @@
 /**
  * @file
- * UVM driver prefetcher models.
+ * UVM driver prefetcher model.
  *
  * On a demand miss the driver may speculatively migrate additional
  * chunks. How useful those speculations are depends on the access
  * pattern's regularity — the mechanism behind the paper's "regular
  * workloads benefit from UVM (with prefetch), irregular ones do not"
- * takeaway. Three models are provided:
+ * takeaway. One class models the three driver policies, selected by
+ * PrefetcherKind:
  *
- *  - NonePrefetcher: plain demand paging (the `uvm` configuration).
- *  - StreamPrefetcher: fixed next-N-chunks lookahead.
- *  - TreePrefetcher: Nvidia-style density prefetcher whose lookahead
- *    doubles on a hit streak and collapses on a useless prediction.
+ *  - None: plain demand paging (the `uvm` configuration).
+ *  - Stream: fixed next-8-chunks lookahead.
+ *  - Tree: Nvidia-style density prefetcher whose per-range lookahead
+ *    doubles on a useful prefetch (up to 32 chunks) and collapses to
+ *    2 on a wasted one.
  */
 
 #ifndef UVMASYNC_XFER_PREFETCHER_HH
 #define UVMASYNC_XFER_PREFETCHER_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -36,7 +39,7 @@ struct PrefetchCandidate
     std::uint64_t chunkIndex;
 };
 
-/** Factory/sealed-variant tag for the three models. */
+/** The driver's speculation policy. */
 enum class PrefetcherKind
 {
     None,
@@ -45,16 +48,9 @@ enum class PrefetcherKind
 };
 
 /**
- * Prefetcher interface. Implementations are stateful per managed
- * range (tracked by rangeId) and must be reset between runs.
- *
- * The model set is sealed: every implementation is one of the three
- * `final` classes below and carries its PrefetcherKind tag. Hot
- * per-access callers (MigrationEngine) dispatch on the tag to the
- * concrete classes' non-virtual `note*`/`appendCandidates` methods —
- * inlineable calls with no vtable hop and no per-miss vector
- * allocation — while the virtual interface stays for tests and
- * ablation drivers that want polymorphism on a cold path.
+ * The driver prefetcher. Tree state is per managed range (rangeId)
+ * and is forgotten by resetStats() between runs; None issues nothing
+ * and keeps no per-range state.
  */
 class Prefetcher : public SimObject
 {
@@ -64,143 +60,85 @@ class Prefetcher : public SimObject
     {
     }
 
-    /** Sealed-variant tag of the concrete model. */
     PrefetcherKind kind() const { return kind_; }
 
     /**
      * React to a demand miss on (@p rangeId, @p chunkIndex) of a range
-     * with @p chunkCount chunks; return chunks to migrate
-     * speculatively (may be empty). Already-resident candidates are
-     * filtered by the caller.
+     * with @p chunkCount chunks: append the chunks to migrate
+     * speculatively to @p out (not cleared) and record them issued.
+     * Already-resident candidates are filtered by the caller.
      */
-    virtual std::vector<PrefetchCandidate>
-    onDemandMiss(std::size_t rangeId, std::uint64_t chunkIndex,
-                 std::uint64_t chunkCount) = 0;
+    void
+    appendCandidates(std::size_t rangeId, std::uint64_t chunkIndex,
+                     std::uint64_t chunkCount,
+                     std::vector<PrefetchCandidate> &out)
+    {
+        if (kind_ == PrefetcherKind::None)
+            return;
+        std::uint32_t dist = kind_ == PrefetcherKind::Stream
+                                 ? streamDistance
+                                 : treeDistance(rangeId);
+        std::size_t before = out.size();
+        for (std::uint32_t i = 1; i <= dist; ++i) {
+            std::uint64_t next = chunkIndex + i;
+            if (next >= chunkCount)
+                break;
+            out.push_back(PrefetchCandidate{rangeId, next});
+        }
+        issued_ += out.size() - before;
+    }
 
     /** Feedback: a previously prefetched chunk was actually used. */
-    virtual void onUsefulPrefetch(std::size_t rangeId) = 0;
+    void
+    noteUseful(std::size_t rangeId)
+    {
+        ++useful_;
+        if (kind_ == PrefetcherKind::Tree) {
+            std::uint32_t &dist = treeDistance(rangeId);
+            dist = std::min(treeMaxDistance, dist * 2);
+        }
+    }
 
-    /** Feedback: a prefetched chunk was evicted unused. */
-    virtual void onWastedPrefetch(std::size_t rangeId) = 0;
-
-    /** Forget per-range state (new run). */
-    virtual void resetState() = 0;
+    /** Feedback: a prefetched chunk was evicted or demanded unused. */
+    void
+    noteWasted(std::size_t rangeId)
+    {
+        ++wasted_;
+        if (kind_ == PrefetcherKind::Tree)
+            treeDistance(rangeId) = treeMinDistance;
+    }
 
     std::uint64_t issued() const { return issued_; }
     std::uint64_t useful() const { return useful_; }
     std::uint64_t wasted() const { return wasted_; }
 
-    /** Fraction of issued prefetches confirmed useful. */
+    /** Fraction of judged prefetches confirmed useful. */
     double accuracy() const;
 
     void exportStats(StatMap &out) const override;
+
+    /** Clear the counters and the per-range Tree state (new run). */
     void resetStats() override;
 
-  protected:
-    void recordIssued(std::size_t n) { issued_ += n; }
-    void recordUseful() { ++useful_; }
-    void recordWasted() { ++wasted_; }
-
   private:
+    static constexpr std::uint32_t streamDistance = 8;
+    static constexpr std::uint32_t treeMinDistance = 2;
+    static constexpr std::uint32_t treeMaxDistance = 32;
+
+    /** The Tree lookahead of @p rangeId, created at the minimum. */
+    std::uint32_t &
+    treeDistance(std::size_t rangeId)
+    {
+        return treeDistance_.try_emplace(rangeId, treeMinDistance)
+            .first->second;
+    }
+
     PrefetcherKind kind_;
     std::uint64_t issued_ = 0;
     std::uint64_t useful_ = 0;
     std::uint64_t wasted_ = 0;
+    std::unordered_map<std::size_t, std::uint32_t> treeDistance_;
 };
-
-/** No speculation: plain demand paging. */
-class NonePrefetcher final : public Prefetcher
-{
-  public:
-    explicit NonePrefetcher(std::string name)
-        : Prefetcher(std::move(name), PrefetcherKind::None)
-    {}
-
-    /** @{ Non-virtual fast path (counters only; no speculation). */
-    void noteUseful() { recordUseful(); }
-    void noteWasted() { recordWasted(); }
-    /** @} */
-
-    std::vector<PrefetchCandidate>
-    onDemandMiss(std::size_t, std::uint64_t, std::uint64_t) override
-    {
-        return {};
-    }
-
-    void onUsefulPrefetch(std::size_t) override { noteUseful(); }
-    void onWastedPrefetch(std::size_t) override { noteWasted(); }
-    void resetState() override {}
-};
-
-/** Fixed-distance sequential prefetcher. */
-class StreamPrefetcher final : public Prefetcher
-{
-  public:
-    StreamPrefetcher(std::string name, std::uint32_t distance);
-
-    /** @{ Non-virtual fast path (same behaviour as the overrides). */
-    void noteUseful() { recordUseful(); }
-    void noteWasted() { recordWasted(); }
-
-    /**
-     * Append this miss's candidates to @p out (not cleared) and
-     * record them issued — the allocation-free form of
-     * onDemandMiss(), sharing its exact candidate order.
-     */
-    void appendCandidates(std::size_t rangeId,
-                          std::uint64_t chunkIndex,
-                          std::uint64_t chunkCount,
-                          std::vector<PrefetchCandidate> &out);
-    /** @} */
-
-    std::vector<PrefetchCandidate>
-    onDemandMiss(std::size_t rangeId, std::uint64_t chunkIndex,
-                 std::uint64_t chunkCount) override;
-
-    void onUsefulPrefetch(std::size_t) override { noteUseful(); }
-    void onWastedPrefetch(std::size_t) override { noteWasted(); }
-    void resetState() override {}
-
-  private:
-    std::uint32_t distance_;
-};
-
-/**
- * Density/tree prefetcher: lookahead grows geometrically while
- * predictions prove useful and collapses to the minimum on waste,
- * approximating the UVM driver's 64K->2M block promotion behaviour.
- */
-class TreePrefetcher final : public Prefetcher
-{
-  public:
-    TreePrefetcher(std::string name, std::uint32_t minDistance = 2,
-                   std::uint32_t maxDistance = 32);
-
-    /** @{ Non-virtual fast path (same behaviour as the overrides). */
-    void noteUseful(std::size_t rangeId);
-    void noteWasted(std::size_t rangeId);
-    void appendCandidates(std::size_t rangeId,
-                          std::uint64_t chunkIndex,
-                          std::uint64_t chunkCount,
-                          std::vector<PrefetchCandidate> &out);
-    /** @} */
-
-    std::vector<PrefetchCandidate>
-    onDemandMiss(std::size_t rangeId, std::uint64_t chunkIndex,
-                 std::uint64_t chunkCount) override;
-
-    void onUsefulPrefetch(std::size_t rangeId) override;
-    void onWastedPrefetch(std::size_t rangeId) override;
-    void resetState() override { distance_.clear(); }
-
-  private:
-    std::uint32_t minDistance_;
-    std::uint32_t maxDistance_;
-    std::unordered_map<std::size_t, std::uint32_t> distance_;
-};
-
-std::unique_ptr<Prefetcher> makePrefetcher(PrefetcherKind kind,
-                                           std::string name);
 
 } // namespace uvmasync
 

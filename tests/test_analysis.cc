@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 
 #include "analysis/cost_model.hh"
 #include "analysis/diagnostic.hh"
@@ -699,6 +700,67 @@ TEST(Lint, DistinctSubjectsStillPrint)
 
     EXPECT_NE(err.find("point-a"), std::string::npos) << err;
     EXPECT_NE(err.find("point-b"), std::string::npos) << err;
+}
+
+TEST(Lint, HandedBackReportRendersLikeADirectPricing)
+{
+    // The cost-advisor pass is the one producer of the report: what
+    // lintJob hands back must render byte-equal to pricing the job
+    // directly, for every registry workload.
+    registerAllWorkloads();
+    SystemConfig sys = SystemConfig::a100Epyc();
+    for (const std::string &name :
+         WorkloadRegistry::instance().names()) {
+        for (SizeClass size : {SizeClass::Tiny, SizeClass::Small}) {
+            Job job = WorkloadRegistry::instance().get(name).makeJob(
+                size);
+            std::string subject =
+                name + " @ " + std::string(sizeClassName(size));
+            std::optional<CostReport> handed;
+            lintJob(sys, job, subject, nullptr, nullptr, {}, nullptr,
+                    &handed);
+            ASSERT_TRUE(handed.has_value()) << subject;
+            EXPECT_EQ(renderCostReport(*handed, subject),
+                      renderCostReport(analyzeCost(sys, job), subject))
+                << subject;
+        }
+    }
+}
+
+TEST(Lint, StructuralPassesLeaveTheReportSlotEmpty)
+{
+    Job job = makeCleanJob();
+    std::optional<CostReport> handed;
+    LintOptions opts;
+    opts.passes = {"kernel-graph"};
+    lintJob(SystemConfig::a100Epyc(), job, "fixture", nullptr, nullptr,
+            opts, nullptr, &handed);
+    EXPECT_FALSE(handed.has_value());
+}
+
+TEST(Lint, PricingGatePrintsOneAdvisorLinePerSubject)
+{
+    Job job = makeCleanJob();
+    std::vector<TransferMode> modes = {TransferMode::Uvm};
+    resetLintPrintDedup();
+    ::testing::internal::CaptureStderr();
+    enforceBatchLint(SystemConfig::a100Epyc(), job, "fixture",
+                     LintMode::Warn, modes);
+    enforceBatchLint(SystemConfig::a100Epyc(), job, "fixture",
+                     LintMode::Warn, modes);
+    enforceBatchLint(SystemConfig::a100Epyc(), job, "fixture",
+                     LintMode::Warn, {});
+    enforceBatchLint(SystemConfig::a100Epyc(), job, "unlinted",
+                     LintMode::Off, modes);
+    std::string err = ::testing::internal::GetCapturedStderr();
+    resetLintPrintDedup();
+
+    std::size_t lines = 0;
+    for (std::size_t pos = err.find("advisor:");
+         pos != std::string::npos; pos = err.find("advisor:", pos + 1))
+        ++lines;
+    EXPECT_EQ(lines, 1u) << err;
+    EXPECT_NE(err.find("advisor: fixture"), std::string::npos) << err;
 }
 
 TEST(Lint, ParseLintModeRoundTrip)

@@ -190,6 +190,45 @@ TEST(Sweep, SharedMemSweepChangesResults)
     EXPECT_NE(tiny, huge);
 }
 
+TEST(Sweep, DegradedSweepReportsOnceToStderr)
+{
+    // A one-event watchdog ceiling trips the sweep's cells; the one
+    // degraded report prints its banner once and names each
+    // quarantined cell in its robustness table.
+    SystemConfig system = SystemConfig::a100Epyc();
+    system.watchdog.maxEvents = 1;
+    Experiment e(system);
+    Sweep sweep(e);
+    ExperimentOptions opts = smallOpts();
+    opts.runs = 1;
+    RunPolicy policy;
+    policy.retries = 0;
+    ::testing::internal::CaptureStderr();
+    auto points = sweep.blockSweep("vector_seq", {512}, opts, policy);
+    std::string err = ::testing::internal::GetCapturedStderr();
+
+    ASSERT_EQ(points.size(), 1u);
+    std::size_t failed = 0;
+    for (const ExperimentResult &res : points[0].modes)
+        failed += res.clean.overallPs() == 0.0 ? 1 : 0;
+    ASSERT_GT(failed, 0u) << "the ceiling no longer trips a cell";
+    std::string banner = "DEGRADED RUN: " + std::to_string(failed) +
+                         " of 5 points quarantined";
+    EXPECT_NE(err.find(banner), std::string::npos) << err;
+    EXPECT_EQ(err.find("DEGRADED RUN", err.find(banner) + 1),
+              std::string::npos)
+        << "banner printed twice:\n" << err;
+    EXPECT_NE(err.find("== robustness (quarantined points) =="),
+              std::string::npos)
+        << err;
+    std::size_t rows = 0;
+    for (std::size_t pos = err.find("| vector_seq ");
+         pos != std::string::npos;
+         pos = err.find("| vector_seq ", pos + 1))
+        ++rows;
+    EXPECT_EQ(rows, failed) << err;
+}
+
 // --- Batch pipeline (Section 6) ----------------------------------------
 
 TEST(BatchPipeline, EmptyBatch)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for far-fault batching and the prefetcher models.
+ * Tests for far-fault batching and the prefetcher model.
  */
 
 #include <gtest/gtest.h>
@@ -82,75 +82,115 @@ TEST(FaultHandler, ResetClearsTimeline)
     EXPECT_EQ(h.service(0), microseconds(21));
 }
 
+/** The candidates of one miss, as a fresh vector. */
+std::vector<PrefetchCandidate>
+miss(Prefetcher &p, std::size_t rangeId, std::uint64_t chunk,
+     std::uint64_t chunkCount)
+{
+    std::vector<PrefetchCandidate> out;
+    p.appendCandidates(rangeId, chunk, chunkCount, out);
+    return out;
+}
+
 TEST(Prefetcher, NoneNeverPredicts)
 {
-    NonePrefetcher p("none");
-    EXPECT_TRUE(p.onDemandMiss(0, 5, 100).empty());
+    Prefetcher p("none", PrefetcherKind::None);
+    EXPECT_TRUE(miss(p, 0, 5, 100).empty());
     EXPECT_EQ(p.issued(), 0u);
 }
 
 TEST(Prefetcher, StreamPredictsNextN)
 {
-    StreamPrefetcher p("stream", 3);
-    auto preds = p.onDemandMiss(0, 10, 100);
-    ASSERT_EQ(preds.size(), 3u);
+    Prefetcher p("stream", PrefetcherKind::Stream);
+    auto preds = miss(p, 0, 10, 100);
+    ASSERT_EQ(preds.size(), 8u);
     EXPECT_EQ(preds[0].chunkIndex, 11u);
-    EXPECT_EQ(preds[2].chunkIndex, 13u);
-    EXPECT_EQ(p.issued(), 3u);
+    EXPECT_EQ(preds[7].chunkIndex, 18u);
+    EXPECT_EQ(p.issued(), 8u);
 }
 
 TEST(Prefetcher, StreamClampsAtRangeEnd)
 {
-    StreamPrefetcher p("stream", 8);
-    auto preds = p.onDemandMiss(0, 98, 100);
+    Prefetcher p("stream", PrefetcherKind::Stream);
+    auto preds = miss(p, 0, 98, 100);
     EXPECT_EQ(preds.size(), 1u);
+}
+
+TEST(Prefetcher, AppendKeepsEarlierCandidates)
+{
+    Prefetcher p("stream", PrefetcherKind::Stream);
+    std::vector<PrefetchCandidate> out = {PrefetchCandidate{3, 7}};
+    p.appendCandidates(0, 98, 100, out);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].rangeId, 3u);
+    EXPECT_EQ(out[1].chunkIndex, 99u);
+    EXPECT_EQ(p.issued(), 1u);
 }
 
 TEST(Prefetcher, TreeGrowsOnUsefulHits)
 {
-    TreePrefetcher p("tree", 2, 16);
-    EXPECT_EQ(p.onDemandMiss(0, 0, 1000).size(), 2u);
-    p.onUsefulPrefetch(0);
-    EXPECT_EQ(p.onDemandMiss(0, 10, 1000).size(), 4u);
-    p.onUsefulPrefetch(0);
-    EXPECT_EQ(p.onDemandMiss(0, 20, 1000).size(), 8u);
+    Prefetcher p("tree", PrefetcherKind::Tree);
+    EXPECT_EQ(miss(p, 0, 0, 1000).size(), 2u);
+    p.noteUseful(0);
+    EXPECT_EQ(miss(p, 0, 10, 1000).size(), 4u);
+    p.noteUseful(0);
+    EXPECT_EQ(miss(p, 0, 20, 1000).size(), 8u);
+}
+
+TEST(Prefetcher, TreeCapsAtMaxDistance)
+{
+    Prefetcher p("tree", PrefetcherKind::Tree);
+    for (int i = 0; i < 6; ++i)
+        p.noteUseful(0);
+    EXPECT_EQ(miss(p, 0, 0, 1000).size(), 32u);
 }
 
 TEST(Prefetcher, TreeCollapsesOnWaste)
 {
-    TreePrefetcher p("tree", 2, 16);
-    p.onUsefulPrefetch(0);
-    p.onUsefulPrefetch(0);
-    EXPECT_EQ(p.onDemandMiss(0, 0, 1000).size(), 8u);
-    p.onWastedPrefetch(0);
-    EXPECT_EQ(p.onDemandMiss(0, 50, 1000).size(), 2u);
+    Prefetcher p("tree", PrefetcherKind::Tree);
+    p.noteUseful(0);
+    p.noteUseful(0);
+    EXPECT_EQ(miss(p, 0, 0, 1000).size(), 8u);
+    p.noteWasted(0);
+    EXPECT_EQ(miss(p, 0, 50, 1000).size(), 2u);
 }
 
 TEST(Prefetcher, TreePerRangeState)
 {
-    TreePrefetcher p("tree", 2, 16);
-    p.onUsefulPrefetch(0);
+    Prefetcher p("tree", PrefetcherKind::Tree);
+    p.noteUseful(0);
     // Range 1 is untouched and stays at the minimum distance.
-    EXPECT_EQ(p.onDemandMiss(1, 0, 1000).size(), 2u);
-    EXPECT_EQ(p.onDemandMiss(0, 0, 1000).size(), 4u);
+    EXPECT_EQ(miss(p, 1, 0, 1000).size(), 2u);
+    EXPECT_EQ(miss(p, 0, 0, 1000).size(), 4u);
+}
+
+TEST(Prefetcher, ResetForgetsTreeState)
+{
+    Prefetcher p("tree", PrefetcherKind::Tree);
+    p.noteUseful(0);
+    p.resetStats();
+    EXPECT_EQ(miss(p, 0, 0, 1000).size(), 2u);
 }
 
 TEST(Prefetcher, AccuracyAccounting)
 {
-    StreamPrefetcher p("stream", 1);
-    p.onUsefulPrefetch(0);
-    p.onUsefulPrefetch(0);
-    p.onWastedPrefetch(0);
+    Prefetcher p("stream", PrefetcherKind::Stream);
+    p.noteUseful(0);
+    p.noteUseful(0);
+    p.noteWasted(0);
     EXPECT_NEAR(p.accuracy(), 2.0 / 3.0, 1e-9);
     p.resetStats();
     EXPECT_DOUBLE_EQ(p.accuracy(), 0.0);
 }
 
-TEST(Prefetcher, FactoryMakesAllKinds)
+TEST(Prefetcher, EachKindKeepsItsTag)
 {
-    EXPECT_NE(makePrefetcher(PrefetcherKind::None, "a"), nullptr);
-    EXPECT_NE(makePrefetcher(PrefetcherKind::Stream, "b"), nullptr);
-    EXPECT_NE(makePrefetcher(PrefetcherKind::Tree, "c"), nullptr);
+    for (PrefetcherKind kind : {PrefetcherKind::None,
+                                PrefetcherKind::Stream,
+                                PrefetcherKind::Tree}) {
+        Prefetcher p("p", kind);
+        EXPECT_EQ(p.kind(), kind);
+    }
 }
 
 } // namespace

@@ -47,11 +47,13 @@
  * fingerprint, so a code or testbed change invalidates cleanly.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -60,9 +62,9 @@
 #include <string>
 #include <vector>
 
-#include "analysis/cost_model.hh"
 #include "analysis/lint.hh"
 #include "common/csv.hh"
+#include "common/kv_config.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "inject/inject_plan.hh"
@@ -127,10 +129,54 @@ class Args
         return positional_;
     }
 
+    /**
+     * Refuse any flag outside @p known (names without the dashes):
+     * print it with a did-you-mean to stderr and return false, so the
+     * verb exits 2 before anything simulates.
+     */
+    bool
+    onlyFlags(const char *verb,
+              std::initializer_list<std::vector<std::string>> known) const
+    {
+        std::vector<std::string> names;
+        for (const std::vector<std::string> &group : known)
+            names.insert(names.end(), group.begin(), group.end());
+        for (const auto &[key, value] : values_) {
+            if (std::find(names.begin(), names.end(), key) !=
+                names.end())
+                continue;
+            std::string close = closestKey(key, names);
+            std::fprintf(stderr, "%s: unknown flag '--%s'%s\n", verb,
+                         key.c_str(),
+                         close.empty()
+                             ? ""
+                             : (" (did you mean '--" + close + "'?)")
+                                   .c_str());
+            return false;
+        }
+        return true;
+    }
+
   private:
     std::map<std::string, std::string> values_;
     std::vector<std::string> positional_;
 };
+
+/** @{ The flags each shared helper below reads. */
+const std::vector<std::string> jobsFlags = {"jobs"};
+const std::vector<std::string> configFlags = {"config"};
+const std::vector<std::string> watchdogFlags = {
+    "watchdog-max-ms", "watchdog-max-events", "watchdog-max-stall"};
+const std::vector<std::string> injectFlags = {"inject", "inject-seed"};
+const std::vector<std::string> journalFlags = {"journal", "resume"};
+const std::vector<std::string> storeFlags = {
+    "store", "store-readonly", "no-store", "store-max-bytes"};
+const std::vector<std::string> retriesFlags = {"retries"};
+const std::vector<std::string> outFlags = {"out"};
+const std::vector<std::string> lintFlags = {"lint", "no-lint"};
+const std::vector<std::string> traceFlags = {"trace", "metrics"};
+const std::vector<std::string> csvFlags = {"csv"};
+/** @} */
 
 /**
  * Apply --jobs N (default: UVMASYNC_JOBS env, then hardware
@@ -339,25 +385,6 @@ reportStoreStats(const ResultStore *store)
                storeStatsTable(store->stats()));
 }
 
-/**
- * Degraded-run reporting: a banner plus a robustness table (to
- * stderr, so CSV output stays clean) naming every quarantined point.
- * Returns the process exit code contribution (1 when degraded).
- */
-int
-reportRobustness(const std::vector<ExperimentPoint> &points,
-                 const BatchResult &batch)
-{
-    if (!batch.degraded())
-        return 0;
-    warn("DEGRADED RUN: %zu of %zu points quarantined after "
-         "retries; results are partial",
-         batch.quarantined(), batch.points.size());
-    printTable(std::cerr, "robustness (quarantined points)",
-               robustnessTable(points, batch));
-    return 1;
-}
-
 /** --lint off|warn|enforce (default enforce); --no-lint = off. */
 bool
 parseLintFlag(const Args &args, LintMode &out)
@@ -380,6 +407,8 @@ parseLintFlag(const Args &args, LintMode &out)
 int
 cmdList(const Args &args)
 {
+    if (!args.onlyFlags("list", {}))
+        return 2;
     WorkloadRegistry &reg = WorkloadRegistry::instance();
     std::vector<std::string> names;
     if (!args.positional().empty() &&
@@ -485,6 +514,11 @@ jobFilePoints(const std::string &jobName, const std::string &path,
 int
 cmdRunJobFile(const Args &args)
 {
+    if (!args.onlyFlags("run --jobfile",
+                        {{"jobfile", "pinned"}, configFlags,
+                         watchdogFlags, injectFlags, journalFlags,
+                         storeFlags, outFlags, lintFlags, traceFlags}))
+        return 2;
     LintMode lint;
     if (!parseLintFlag(args, lint))
         return 1;
@@ -632,6 +666,14 @@ cmdRun(const Args &args)
 {
     if (args.has("jobfile"))
         return cmdRunJobFile(args);
+    if (!args.onlyFlags("run", {{"workload", "size", "mode", "runs",
+                                 "seed", "blocks", "threads",
+                                 "carveout"},
+                                jobsFlags, configFlags, watchdogFlags,
+                                injectFlags, journalFlags, storeFlags,
+                                retriesFlags, outFlags, lintFlags,
+                                traceFlags, csvFlags}))
+        return 2;
     std::string workload = args.get("workload");
     if (workload.empty()) {
         std::fprintf(stderr,
@@ -687,27 +729,6 @@ cmdRun(const Args &args)
                               : SystemConfig::a100Epyc();
     applyWatchdogFlags(args, system);
 
-    // Campaign advisor: the static cost model's verdict before any
-    // simulated tick. Goes through inform() (stderr at the default
-    // log level), so CSV/stdout streams stay byte-identical.
-    if (opts.lint != LintMode::Off) {
-        Job advisorJob = WorkloadRegistry::instance()
-                             .get(workload)
-                             .makeJob(opts.size, opts.geometry);
-        CostReport rep = analyzeCost(system, advisorJob);
-        inform("advisor: %s @ %s — predicted winner %s, async/uvm "
-               "= %s (%s); run `uvmasync-lint --analyze --workload "
-               "%s --size %s` for the full cost table",
-               workload.c_str(),
-               sizeClassName(opts.size),
-               transferModeName(rep.bestMode),
-               fmtDouble(rep.asyncOverUvm, 2).c_str(),
-               rep.asyncOverUvm > 1.0 ? "uvm family predicted ahead"
-                                      : "explicit family predicted "
-                                        "ahead",
-               workload.c_str(), sizeClassName(opts.size));
-    }
-
     std::vector<ExperimentPoint> points;
     points.reserve(modes.size());
     for (TransferMode m : modes)
@@ -738,18 +759,12 @@ cmdRun(const Args &args)
     // that exhausted its retries, a watchdog trip) are retried, then
     // quarantined and reported individually; the surviving points
     // still print and export normally.
-    bool anyFailed = reportRobustness(points, batch) != 0;
+    bool anyFailed = reportDegradedBatch(points, batch);
     std::vector<ExperimentResult> results;
     results.reserve(batch.points.size());
-    for (std::size_t i = 0; i < batch.points.size(); ++i) {
-        if (batch.points[i].ok) {
-            results.push_back(std::move(batch.points[i].result));
-            continue;
-        }
-        std::fprintf(stderr, "%s/%s failed: %s\n",
-                     points[i].workload.c_str(),
-                     transferModeName(points[i].mode),
-                     batch.points[i].error.c_str());
+    for (PointOutcome &outcome : batch.points) {
+        if (outcome.ok)
+            results.push_back(std::move(outcome.result));
     }
 
     if (traceOut) {
@@ -806,6 +821,10 @@ cmdRun(const Args &args)
 int
 cmdProfile(const Args &args)
 {
+    if (!args.onlyFlags("profile", {{"workload", "jobfile", "size",
+                                     "mode"},
+                                    configFlags}))
+        return 2;
     std::string workload = args.get("workload");
     if (workload.empty() && !args.has("jobfile")) {
         std::fprintf(stderr,
@@ -871,6 +890,10 @@ cmdProfile(const Args &args)
 int
 cmdTimeline(const Args &args)
 {
+    if (!args.onlyFlags("timeline", {{"workload", "jobfile", "size",
+                                      "mode"},
+                                     configFlags}))
+        return 2;
     Job job;
     if (args.has("jobfile")) {
         job = loadJobFile(args.get("jobfile"));
@@ -930,6 +953,11 @@ cmdTimeline(const Args &args)
 int
 cmdSweep(const Args &args)
 {
+    if (!args.onlyFlags("sweep", {{"kind", "workload", "size", "runs"},
+                                  jobsFlags, configFlags, watchdogFlags,
+                                  injectFlags, journalFlags, storeFlags,
+                                  retriesFlags, outFlags, csvFlags}))
+        return 2;
     std::string kind = args.get("kind");
     std::string workload = args.get("workload", "vector_seq");
     ExperimentOptions opts;
@@ -992,7 +1020,7 @@ cmdSweep(const Args &args)
     BatchResult batch = runner.runPoints(grid.points, policy);
     reportStoreStats(store.get());
     reportJournalHealth(journal.get(), batch.metrics.journalErrors);
-    bool anyFailed = reportRobustness(grid.points, batch) != 0;
+    bool anyFailed = reportDegradedBatch(grid.points, batch);
     std::vector<SweepPoint> points =
         assembleSweepPoints(grid, batch);
 
@@ -1035,6 +1063,9 @@ cmdSweep(const Args &args)
 int
 cmdStore(const Args &args)
 {
+    if (!args.onlyFlags("store",
+                        {{"store", "store-max-bytes", "fingerprint"}}))
+        return 2;
     std::string op = args.positional().empty()
                          ? std::string()
                          : args.positional()[0];
@@ -1126,6 +1157,8 @@ cmdStore(const Args &args)
 int
 cmdFsck(const Args &args)
 {
+    if (!args.onlyFlags("fsck", {{"repair"}}))
+        return 2;
     FsckOptions opt;
     opt.repair = args.has("repair");
     // --repair is a bare switch, but the generic parser treats any
@@ -1206,6 +1239,12 @@ clientBatchPayload(const Args &args, std::string &payload)
 int
 cmdClient(const Args &args)
 {
+    if (!args.onlyFlags("client",
+                        {{"socket", "workload", "size", "mode", "runs",
+                          "seed", "blocks", "threads", "carveout",
+                          "handle", "from", "no-wait"},
+                         retriesFlags}))
+        return 2;
     std::string op = args.positional().empty()
                          ? std::string()
                          : args.positional()[0];
@@ -1333,6 +1372,11 @@ usage()
         "[--no-store] [--store-max-bytes N]\n"
         "               [--watchdog-max-ms MS] "
         "[--watchdog-max-events N] [--watchdog-max-stall N]\n"
+        "  uvmasync run --jobfile FILE [--pinned] [--config FILE] "
+        "[--lint off|warn|enforce]\n"
+        "               [--trace FILE.json] [--metrics] [--out FILE] "
+        "[--inject PLAN.kv] [--journal|--resume FILE.jsonl]\n"
+        "               [--store DIR] [--watchdog-max-ms MS]\n"
         "  uvmasync sweep --kind blocks|threads|sharedmem "
         "[--workload NAME] [--size CLASS] [--csv] [--jobs N]\n"
         "               [--out FILE] [--inject PLAN.kv] "

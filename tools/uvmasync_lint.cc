@@ -12,9 +12,11 @@
  *       Lint one model.
  *
  *   uvmasync-lint --analyze ...
- *       Additionally run the static cost model on every linted job:
- *       per-mode predicted traffic/time table plus the advisor
- *       verdict (which transfer mode should win, before simulating).
+ *       Additionally render the report the cost-advisor pass priced
+ *       for every linted job: per-mode predicted traffic/time table
+ *       plus the advisor verdict (which transfer mode should win,
+ *       before simulating). A --pass list must then include
+ *       cost-advisor.
  *
  *   uvmasync-lint --inject FILE
  *       Lint a fault-injection plan (inject.* keys): malformed
@@ -41,6 +43,7 @@
 #include <cstring>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -140,6 +143,14 @@ parseArgs(int argc, char **argv, Options &opt)
             return false;
         }
     }
+    // --analyze renders the report the cost-advisor pass prices.
+    if (opt.analyze && !opt.lint.passes.empty() &&
+        std::find(opt.lint.passes.begin(), opt.lint.passes.end(),
+                  "cost-advisor") == opt.lint.passes.end()) {
+        std::fprintf(stderr, "--analyze needs the cost-advisor pass; "
+                             "add it to --pass\n");
+        return false;
+    }
     opt.lint.warningsAsErrors = opt.werror;
     opt.configOnly = !opt.configFile.empty() && !opt.allWorkloads &&
                      opt.workload.empty() && opt.jobfile.empty();
@@ -186,10 +197,11 @@ lintUnit(const SystemConfig &system, const Job &job,
          const KvConfig *jobKv, const Options &opt)
 {
     UnitResult r;
-    r.diags = lintJob(system, job, subject, systemKv, jobKv, opt.lint);
-    if (opt.analyze && !r.diags.hasErrors())
-        r.analysis = renderCostReport(analyzeCost(system, job),
-                                      subject);
+    std::optional<CostReport> report;
+    r.diags = lintJob(system, job, subject, systemKv, jobKv, opt.lint,
+                      nullptr, opt.analyze ? &report : nullptr);
+    if (report && !r.diags.hasErrors())
+        r.analysis = renderCostReport(*report, subject);
     return r;
 }
 
