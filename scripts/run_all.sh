@@ -10,11 +10,9 @@ cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
-: > bench_output.txt
-for b in build/bench/bench_*; do
-    [ -x "$b" ] || continue
-    echo "===== $(basename "$b") =====" | tee -a bench_output.txt
-    "$b" 2>&1 | tee -a bench_output.txt
-done
+# Every figure, each under a `===== NAME =====` line. The transcript
+# is stdout only, so it equals tests/golden/figures.txt; diagnostics
+# and the engine's host-side metrics stay on the terminal (stderr).
+build/bench/figures | tee bench_output.txt
 
 echo "Done. See test_output.txt and bench_output.txt."

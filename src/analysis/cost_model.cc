@@ -399,13 +399,12 @@ analyzeCost(const SystemConfig &system, const Job &job)
     CostReport report;
     report.flow = analyzeDataflow(system, job);
 
-    // Every mode's executor shares one L1 context (default carveout,
-    // seed and sampling), and same-shaped kernels share their buffer
-    // streams, so one memo simulates each distinct stream once.
+    // Every mode's executor shares one L1 context (default carveout
+    // and seed), and same-shaped kernels share their buffer streams,
+    // so one memo simulates each distinct stream once.
     const KernelExecConfig defaults;
     L1Memo l1(system.gpu, job.bufferSizes(),
-              system.gpu.defaultSharedCarveout, defaults.seed,
-              defaults.cacheParams);
+              system.gpu.defaultSharedCarveout, defaults.seed);
 
     for (std::size_t m = 0; m < allTransferModes.size(); ++m) {
         TransferMode mode = allTransferModes[m];

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 
 namespace uvmasync
 {
@@ -122,9 +123,8 @@ KvConfig::getDouble(const std::string &key, double def) const
     auto it = values_.find(key);
     if (it == values_.end())
         return def;
-    char *end = nullptr;
-    double value = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
+    double value = 0.0;
+    if (!parseNumber(it->second, value))
         fatal("config key '%s': '%s' is not a number", key.c_str(),
               it->second.c_str());
     return value;

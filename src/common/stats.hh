@@ -102,7 +102,6 @@ class Histogram
 
     void add(double x);
 
-    std::size_t bucketCount() const { return counts_.size(); }
     std::size_t bucket(std::size_t i) const { return counts_.at(i); }
     std::size_t total() const { return total_; }
     double bucketLow(std::size_t i) const;

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <deque>
 #include <exception>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -17,6 +18,7 @@
 #endif
 
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "common/stable_hash.hh"
 #include "inject/injector.hh"
 #include "sim/watchdog.hh"
@@ -61,9 +63,9 @@ unsigned
 autoJobs()
 {
     if (const char *env = std::getenv("UVMASYNC_JOBS")) {
-        char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (end && *end == '\0' && v > 0)
+        std::uint64_t v = 0;
+        if (parseUnsigned(env, v, std::numeric_limits<unsigned>::max()) &&
+            v > 0)
             return static_cast<unsigned>(v);
         warn("ignoring invalid UVMASYNC_JOBS='%s'", env);
     }

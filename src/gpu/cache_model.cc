@@ -12,6 +12,17 @@ namespace uvmasync
 namespace
 {
 
+/** @{ Stream-sampling calibration. */
+/** Number of sampled accesses fed through the cache. */
+constexpr std::size_t kSampleAccesses = 120000;
+/** Residual L1 load traffic left when tiles ride cp.async. */
+constexpr double kAsyncResidualLoadFraction = 0.15;
+/** L1 share consumed by UVM machinery in managed configurations. */
+constexpr double kUvmL1Pollution = 0.12;
+/** Extra pollution when the explicit prefetcher is active. */
+constexpr double kPrefetchL1Pollution = 0.13;
+/** @} */
+
 /** One interleaved source of sampled accesses. */
 struct Stream
 {
@@ -26,8 +37,7 @@ struct Stream
 CacheModelResult
 simulateL1(const GpuConfig &cfg, const KernelDescriptor &kd,
            const std::vector<Bytes> &bufferBytes, TransferMode mode,
-           Bytes sharedCarveout, std::uint64_t seed,
-           const CacheModelParams &params)
+           Bytes sharedCarveout, std::uint64_t seed)
 {
     CacheModelResult res;
 
@@ -38,9 +48,9 @@ simulateL1(const GpuConfig &cfg, const KernelDescriptor &kd,
     double capacity =
         static_cast<double>(cfg.l1Capacity(sharedCarveout));
     if (uvm)
-        capacity *= 1.0 - params.uvmL1Pollution;
+        capacity *= 1.0 - kUvmL1Pollution;
     if (usesPrefetch(mode))
-        capacity *= 1.0 - params.prefetchL1Pollution;
+        capacity *= 1.0 - kPrefetchL1Pollution;
 
     Bytes granule = cfg.l1LineBytes * cfg.l1Ways;
     auto lines = static_cast<Bytes>(capacity) / granule;
@@ -87,7 +97,7 @@ simulateL1(const GpuConfig &cfg, const KernelDescriptor &kd,
                 // residual fraction (spills, index loads) remains.
                 // Its walk shape is unchanged but its working set is
                 // much smaller because the hot data sits in shared.
-                p.weight *= params.asyncResidualLoadFraction;
+                p.weight *= kAsyncResidualLoadFraction;
                 p.footprint = std::max<Bytes>(
                     p.footprint / 64, cfg.l1LineBytes * 4);
             }
@@ -118,7 +128,7 @@ simulateL1(const GpuConfig &cfg, const KernelDescriptor &kd,
     for (const Plan &p : plans) {
         auto quota = static_cast<std::size_t>(
             std::ceil(p.weight / totalWeight *
-                      static_cast<double>(params.sampleAccesses)));
+                      static_cast<double>(kSampleAccesses)));
         streams.push_back(Stream{
             StreamGenerator(p.pattern, p.footprint, 4, ++streamSeed),
             static_cast<Addr>(p.bufferId) << 40, p.isStore, quota});
@@ -148,10 +158,9 @@ simulateL1(const GpuConfig &cfg, const KernelDescriptor &kd,
 }
 
 L1Memo::L1Memo(const GpuConfig &gpu, std::vector<Bytes> bufferBytes,
-               Bytes sharedCarveout, std::uint64_t seed,
-               const CacheModelParams &params)
+               Bytes sharedCarveout, std::uint64_t seed)
     : gpu_(gpu), bufferBytes_(std::move(bufferBytes)),
-      sharedCarveout_(sharedCarveout), seed_(seed), params_(params)
+      sharedCarveout_(sharedCarveout), seed_(seed)
 {
 }
 
@@ -162,8 +171,7 @@ L1Memo::get(const KernelDescriptor &kd, TransferMode mode)
     auto it = results_.find(key);
     if (it == results_.end()) {
         CacheModelResult res = simulateL1(gpu_, kd, bufferBytes_, mode,
-                                          sharedCarveout_, seed_,
-                                          params_);
+                                          sharedCarveout_, seed_);
         it = results_.emplace(std::move(key), res).first;
     }
     return it->second;
@@ -172,12 +180,10 @@ L1Memo::get(const KernelDescriptor &kd, TransferMode mode)
 bool
 L1Memo::matches(const GpuConfig &gpu,
                 const std::vector<Bytes> &bufferBytes,
-                Bytes sharedCarveout, std::uint64_t seed,
-                const CacheModelParams &params) const
+                Bytes sharedCarveout, std::uint64_t seed) const
 {
     return gpu == gpu_ && bufferBytes == bufferBytes_ &&
-           sharedCarveout == sharedCarveout_ && seed == seed_ &&
-           params == params_;
+           sharedCarveout == sharedCarveout_ && seed == seed_;
 }
 
 } // namespace uvmasync

@@ -42,24 +42,6 @@ struct CacheModelResult
     std::uint64_t stores = 0;
 };
 
-/** Tunables of the stream sampling. */
-struct CacheModelParams
-{
-    /** Number of sampled accesses fed through the cache. */
-    std::size_t sampleAccesses = 120000;
-
-    /** Residual L1 load traffic left when tiles ride cp.async. */
-    double asyncResidualLoadFraction = 0.15;
-
-    /** L1 share consumed by UVM machinery in managed configurations. */
-    double uvmL1Pollution = 0.12;
-
-    /** Extra pollution when the explicit prefetcher is active. */
-    double prefetchL1Pollution = 0.13;
-
-    bool operator==(const CacheModelParams &) const = default;
-};
-
 /**
  * Simulate the kernel's L1 under @p mode with a @p sharedCarveout
  * partition. Deterministic for a given @p seed.
@@ -69,15 +51,14 @@ struct CacheModelParams
 CacheModelResult
 simulateL1(const GpuConfig &cfg, const KernelDescriptor &kd,
            const std::vector<Bytes> &bufferBytes, TransferMode mode,
-           Bytes sharedCarveout, std::uint64_t seed,
-           const CacheModelParams &params = {});
+           Bytes sharedCarveout, std::uint64_t seed);
 
 /**
  * Content-keyed memo of simulateL1 over one fixed L1 context: the
- * GPU, the job's buffer sizes, the carveout, the seed and the
- * sampling parameters. Everything else simulateL1 reads is the mode
- * and the kernel's buffer uses, so get() keys on exactly
- * (mode, kd.buffers) and simulates each distinct stream once.
+ * GPU, the job's buffer sizes, the carveout and the seed. Everything
+ * else simulateL1 reads is the mode and the kernel's buffer uses, so
+ * get() keys on exactly (mode, kd.buffers) and simulates each
+ * distinct stream once.
  * bufferId stays in the key: it sets each stream's base address, and
  * the set count need not be a power of two.
  *
@@ -87,8 +68,7 @@ class L1Memo
 {
   public:
     L1Memo(const GpuConfig &gpu, std::vector<Bytes> bufferBytes,
-           Bytes sharedCarveout, std::uint64_t seed,
-           const CacheModelParams &params = {});
+           Bytes sharedCarveout, std::uint64_t seed);
 
     /** simulateL1 of @p kd under @p mode in this memo's context. */
     CacheModelResult get(const KernelDescriptor &kd, TransferMode mode);
@@ -96,8 +76,7 @@ class L1Memo
     /** Whether this memo's context is exactly these inputs. */
     bool matches(const GpuConfig &gpu,
                  const std::vector<Bytes> &bufferBytes,
-                 Bytes sharedCarveout, std::uint64_t seed,
-                 const CacheModelParams &params) const;
+                 Bytes sharedCarveout, std::uint64_t seed) const;
 
     /** Distinct streams simulated so far. */
     std::size_t size() const { return results_.size(); }
@@ -109,7 +88,6 @@ class L1Memo
     std::vector<Bytes> bufferBytes_;
     Bytes sharedCarveout_;
     std::uint64_t seed_;
-    CacheModelParams params_;
     std::map<Key, CacheModelResult> results_;
 };
 

@@ -11,6 +11,21 @@
 namespace uvmasync
 {
 
+namespace
+{
+
+/** @{ Synchronous-staging calibration. */
+/** Load-path inflation of the LDG->register->STS staging loop. */
+constexpr double kRegStagingPenalty = 1.9;
+/** Block-wide barrier cost per tile (cycles). */
+constexpr double kBarrierCyclesPerTile = 40.0;
+/** Async pipeline arrive/wait latency per tile, charged per warp
+ * (every warp issues its own commit/wait_group). */
+constexpr double kAsyncWaitCyclesPerWarpTile = 30.0;
+/** @} */
+
+} // namespace
+
 KernelExecutor::KernelExecutor(KernelExecConfig cfg)
     : cfg_(std::move(cfg))
 {
@@ -91,14 +106,13 @@ KernelExecutor::derive(const KernelDescriptor &kd) const
 
     if (cfg_.l1Memo) {
         UVMASYNC_ASSERT(cfg_.l1Memo->matches(gpu, cfg_.bufferBytes,
-                                             d.carveout, cfg_.seed,
-                                             cfg_.cacheParams),
+                                             d.carveout, cfg_.seed),
                         "%s: L1 memo built for another L1 context",
                         kd.name.c_str());
         d.cache = cfg_.l1Memo->get(kd, cfg_.mode);
     } else {
         d.cache = simulateL1(gpu, kd, cfg_.bufferBytes, cfg_.mode,
-                             d.carveout, cfg_.seed, cfg_.cacheParams);
+                             d.carveout, cfg_.seed);
     }
 
     // Per-tile instruction mix: element-proportional parts scale with
@@ -255,17 +269,17 @@ KernelExecutor::derive(const KernelDescriptor &kd) const
         // blocks (shallow per-thread buffers) profit least from
         // async memcpy (Figure 12's 1024-thread point).
         double warps = static_cast<double>(warpsPerBlock);
-        double wait = cfg_.asyncWaitCyclesPerWarpTile *
+        double wait = kAsyncWaitCyclesPerWarpTile *
                       gpu.asyncWaitMultiplier * warps * period * r /
                       d.parallelEff;
         d.tileTimePs = std::max(loadPs + storePs, computePs) + wait;
         d.fillTimePs = loadPs;
         d.asyncWaitPerTilePs = wait;
     } else {
-        double barrier = cfg_.barrierCyclesPerTile * period * r /
+        double barrier = kBarrierCyclesPerTile * period * r /
                          d.parallelEff;
         d.tileTimePs =
-            std::max(loadPs * cfg_.regStagingPenalty + storePs,
+            std::max(loadPs * kRegStagingPenalty + storePs,
                      computePs) +
             barrier;
         d.fillTimePs = 0.0;

@@ -75,24 +75,12 @@ struct KernelExecConfig
 
     std::uint64_t seed = 1;
 
-    CacheModelParams cacheParams;
-
     /**
      * Optional, non-owning simulateL1 memo (static cost model only;
      * Device never sets it). Must have been built from this config's
-     * gpu, bufferBytes, resolved carveout, seed and cacheParams.
+     * gpu, bufferBytes, resolved carveout and seed.
      */
     L1Memo *l1Memo = nullptr;
-
-    /** @{ Synchronous-staging calibration. */
-    /** Load-path inflation of the LDG->register->STS staging loop. */
-    double regStagingPenalty = 1.9;
-    /** Block-wide barrier cost per tile (cycles). */
-    double barrierCyclesPerTile = 40.0;
-    /** Async pipeline arrive/wait latency per tile, charged per
-     * warp (every warp issues its own commit/wait_group). */
-    double asyncWaitCyclesPerWarpTile = 30.0;
-    /** @} */
 
     /** Upper bound of chunk-request groups per block (UVM modes). */
     std::uint32_t maxChunkGroupsPerBlock = 8;

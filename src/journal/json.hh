@@ -102,7 +102,6 @@ class JsonValue
     bool isObject() const { return kind == Kind::Object; }
     bool isArray() const { return kind == Kind::Array; }
     bool isString() const { return kind == Kind::String; }
-    bool isNumber() const { return kind == Kind::Number; }
 
     /** Member lookup; null when absent or not an object. */
     const JsonValue *find(const std::string &name) const;

@@ -80,7 +80,6 @@ class HostMemory : public SimObject
     double placementFactor(Bytes footprint, Rng &rng);
 
     std::uint64_t straddledRuns() const { return straddledRuns_; }
-    std::uint64_t sampledRuns() const { return sampledRuns_; }
 
     /**
      * Attach the fault injector (null detaches): transfers issued

@@ -131,11 +131,7 @@ class Device
 
     /** @{ Component access (stats, tests). */
     HostMemory &hostMemory() { return host_; }
-    PageTable &pageTable() { return pageTable_; }
-    DeviceMemory &deviceMemory() { return devMem_; }
-    PcieLink &pcieLink() { return link_; }
     MigrationEngine &migrationEngine() { return engine_; }
-    Allocator &allocator() { return allocator_; }
     /** @} */
 
     /** Snapshot all component statistics. */

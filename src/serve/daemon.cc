@@ -88,20 +88,6 @@ batchStateTerminal(BatchState state)
            state == BatchState::Cancelled;
 }
 
-bool
-parseBatchState(const std::string &text, BatchState &out)
-{
-    for (BatchState s :
-         {BatchState::Pending, BatchState::Running, BatchState::Done,
-          BatchState::Degraded, BatchState::Cancelled}) {
-        if (text == batchStateName(s)) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
 void
 preflightServeStateDir(const std::string &stateDir, IoEnv &io)
 {

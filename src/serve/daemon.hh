@@ -117,9 +117,6 @@ const char *batchStateName(BatchState state);
 /** True for states no transition can leave. */
 bool batchStateTerminal(BatchState state);
 
-/** Parse a state slug; returns true on success. */
-bool parseBatchState(const std::string &text, BatchState &out);
-
 /** One getBatchStatus() snapshot. */
 struct BatchStatus
 {
@@ -259,8 +256,6 @@ class ServeDaemon
      * at its self-pipe to wake poll().
      */
     void setWakeup(std::function<void()> wakeup);
-
-    const ServeOptions &options() const { return opt_; }
 
   private:
     struct Batch

@@ -122,8 +122,6 @@ class ServeClient
     /** Connect to a daemon socket. */
     bool connect(const std::string &socketPath, std::string &error);
 
-    bool connected() const { return fd_ >= 0; }
-
     /** Submit a batch payload; @p handleHex gets the new handle. */
     bool submit(const std::string &payload, std::string &handleHex,
                 std::string &error);

@@ -49,9 +49,6 @@ class BandwidthResource
     Bandwidth bandwidth() const { return bandwidth_; }
     Tick perRequestLatency() const { return perRequestLatency_; }
 
-    /** Change the rate (used by sweeps); does not affect past grants. */
-    void setBandwidth(Bandwidth bw) { bandwidth_ = bw; }
-
     /**
      * Reserve the resource for a @p bytes transfer requested at
      * @p now. Returns the occupied window.

@@ -112,11 +112,6 @@ class Watchdog
     /** Arm with @p cfg and reset all counters (start of a run). */
     void arm(const WatchdogConfig &cfg);
 
-    /** Detach; onEvent()/checkSimTime() become no-ops. */
-    void disarm() { armed_ = false; }
-
-    bool armed() const { return armed_; }
-
     const WatchdogConfig &config() const { return cfg_; }
 
     /** Events observed since arm(). */

@@ -150,7 +150,6 @@ class Tracer
 
     /** Record only categories whose bit is set in @p mask. */
     void setCategoryFilter(std::uint32_t mask) { filter_ = mask; }
-    std::uint32_t categoryFilter() const { return filter_; }
 
     bool
     enabled(TraceCategory c) const

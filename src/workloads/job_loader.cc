@@ -1,11 +1,11 @@
 #include "workloads/job_loader.hh"
 
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
 #include "analysis/passes.hh"
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "common/stable_hash.hh"
 
 namespace uvmasync
@@ -40,25 +40,21 @@ parsePattern(const std::string &name)
     return p;
 }
 
-/** strtoul with full-string validation (std::stoul throws). */
 std::size_t
 parseIndex(const std::string &text, const char *what)
 {
-    char *end = nullptr;
-    unsigned long value = std::strtoul(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0')
+    std::uint64_t value = 0;
+    if (!parseUnsigned(text, value))
         fatal("job file: %s '%s' is not a non-negative integer",
               what, text.c_str());
     return static_cast<std::size_t>(value);
 }
 
-/** strtod with full-string validation (std::stod throws). */
 double
 parseFraction(const std::string &text, const char *what)
 {
-    char *end = nullptr;
-    double value = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0')
+    double value = 0.0;
+    if (!parseNumber(text, value))
         fatal("job file: %s '%s' is not a number", what,
               text.c_str());
     return value;

@@ -52,7 +52,6 @@ class FaultHandler : public SimObject
     FaultHandler(std::string name, FaultHandlerConfig cfg);
 
     const FaultHandlerConfig &config() const { return cfg_; }
-    void setConfig(const FaultHandlerConfig &cfg) { cfg_ = cfg; }
 
     /**
      * Service one fault arriving at @p now.

@@ -109,8 +109,6 @@ class Prefetcher : public SimObject
     }
 
     std::uint64_t issued() const { return issued_; }
-    std::uint64_t useful() const { return useful_; }
-    std::uint64_t wasted() const { return wasted_; }
 
     /** Fraction of judged prefetches confirmed useful. */
     double accuracy() const;

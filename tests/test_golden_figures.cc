@@ -93,17 +93,13 @@ goldenOpts(SizeClass size)
 }
 
 /**
- * Run @p points through the engine and render them as CSV,
- * micro-picosecond precision: workload, mode, clean and mean
- * alloc/transfer/kernel components, and the fault counter.
+ * Render @p results as CSV, micro-picosecond precision: workload,
+ * mode, clean and mean alloc/transfer/kernel components, and the
+ * fault counter.
  */
 std::string
-pointsCsv(const std::vector<ExperimentPoint> &points,
-          std::vector<ExperimentResult> *keep = nullptr)
+resultsCsv(const std::vector<ExperimentResult> &results)
 {
-    ParallelRunner runner(SystemConfig::a100Epyc());
-    std::vector<ExperimentResult> results = runner.run(points);
-
     std::string csv = "workload,mode,clean_alloc_ps,clean_transfer_ps,"
                       "clean_kernel_ps,mean_alloc_ps,mean_transfer_ps,"
                       "mean_kernel_ps,faults\n";
@@ -120,15 +116,25 @@ pointsCsv(const std::vector<ExperimentPoint> &points,
                           res.counters.faults));
         csv += buf;
     }
+    return csv;
+}
+
+/** Run @p points through the engine and render them as CSV. */
+std::string
+pointsCsv(const std::vector<ExperimentPoint> &points,
+          std::vector<ExperimentResult> *keep = nullptr)
+{
+    ParallelRunner runner(SystemConfig::a100Epyc());
+    std::vector<ExperimentResult> results = runner.run(points);
+    std::string csv = resultsCsv(results);
     if (keep)
         *keep = std::move(results);
     return csv;
 }
 
-/** Run a (workloads x five modes) grid and render it as CSV. */
-std::string
-gridCsv(const std::vector<std::string> &workloads, SizeClass size,
-        std::vector<ExperimentResult> *keep = nullptr)
+/** The (workloads x five modes) grid at @p size, one point a cell. */
+std::vector<ExperimentPoint>
+goldenGrid(const std::vector<std::string> &workloads, SizeClass size)
 {
     std::vector<TransferMode> modes(allTransferModes.begin(),
                                     allTransferModes.end());
@@ -138,7 +144,15 @@ gridCsv(const std::vector<std::string> &workloads, SizeClass size,
     // the cell seed itself so the CSV matches a plain fixed-seed run.
     for (ExperimentPoint &point : points)
         point.opts.baseSeed = 42;
-    return pointsCsv(points, keep);
+    return points;
+}
+
+/** Run a (workloads x five modes) grid and render it as CSV. */
+std::string
+gridCsv(const std::vector<std::string> &workloads, SizeClass size,
+        std::vector<ExperimentResult> *keep = nullptr)
+{
+    return pointsCsv(goldenGrid(workloads, size), keep);
 }
 
 TEST(GoldenFigures, Fig7MicroLarge)
@@ -229,42 +243,14 @@ TEST(GoldenFigures, OversubMega)
 TEST(GoldenFigures, Fig7RegeneratedThroughStoreMatchesGolden)
 {
     registerAllWorkloads();
-    std::vector<std::string> workloads =
-        WorkloadRegistry::instance().names(WorkloadSuite::Micro);
-    std::vector<TransferMode> modes(allTransferModes.begin(),
-                                    allTransferModes.end());
-    std::vector<ExperimentPoint> points = ParallelRunner::expandGrid(
-        workloads, modes, 1, goldenOpts(SizeClass::Large));
-    for (ExperimentPoint &point : points)
-        point.opts.baseSeed = 42;
+    std::vector<ExperimentPoint> points = goldenGrid(
+        WorkloadRegistry::instance().names(WorkloadSuite::Micro),
+        SizeClass::Large);
 
     std::string dir =
         ::testing::TempDir() + "uvmasync_store_golden";
     std::uint64_t fp =
         modelSemanticsFingerprint(SystemConfig::a100Epyc());
-
-    auto renderCsv = [&](const BatchResult &batch) {
-        std::string csv =
-            "workload,mode,clean_alloc_ps,clean_transfer_ps,"
-            "clean_kernel_ps,mean_alloc_ps,mean_transfer_ps,"
-            "mean_kernel_ps,faults\n";
-        char buf[512];
-        for (const PointOutcome &out : batch.points) {
-            const ExperimentResult &res = out.result;
-            TimeBreakdown mean = res.meanBreakdown();
-            std::snprintf(
-                buf, sizeof(buf),
-                "%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%llu\n",
-                res.workload.c_str(), transferModeName(res.mode),
-                res.clean.allocPs, res.clean.transferPs,
-                res.clean.kernelPs, mean.allocPs, mean.transferPs,
-                mean.kernelPs,
-                static_cast<unsigned long long>(
-                    res.counters.faults));
-            csv += buf;
-        }
-        return csv;
-    };
 
     std::string golden = readFile(goldenPath("fig7_micro_large.csv"));
     ASSERT_FALSE(golden.empty());
@@ -279,7 +265,7 @@ TEST(GoldenFigures, Fig7RegeneratedThroughStoreMatchesGolden)
         ASSERT_TRUE(batch.allOk());
         EXPECT_EQ(batch.metrics.cacheHits,
                   round == 0 ? 0u : points.size());
-        EXPECT_EQ(renderCsv(batch), golden)
+        EXPECT_EQ(resultsCsv(batch.results()), golden)
             << (round == 0 ? "cold" : "warm")
             << " store-backed regeneration diverged from the "
             << "committed golden";

@@ -53,7 +53,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -87,80 +86,12 @@
 #include "workloads/job_loader.hh"
 #include "workloads/registry.hh"
 
+#include "args.hh"
+
 using namespace uvmasync;
 
 namespace
 {
-
-/** Minimal --key value argument parser. */
-class Args
-{
-  public:
-    Args(int argc, char **argv, int start)
-    {
-        for (int i = start; i < argc; ++i) {
-            std::string arg = argv[i];
-            if (arg.rfind("--", 0) == 0) {
-                std::string key = arg.substr(2);
-                if (i + 1 < argc && argv[i + 1][0] != '-')
-                    values_[key] = argv[++i];
-                else
-                    values_[key] = "true";
-            } else {
-                positional_.push_back(arg);
-            }
-        }
-    }
-
-    std::string
-    get(const std::string &key, const std::string &def = "") const
-    {
-        auto it = values_.find(key);
-        return it == values_.end() ? def : it->second;
-    }
-
-    bool has(const std::string &key) const
-    {
-        return values_.count(key) > 0;
-    }
-
-    const std::vector<std::string> &positional() const
-    {
-        return positional_;
-    }
-
-    /**
-     * Refuse any flag outside @p known (names without the dashes):
-     * print it with a did-you-mean to stderr and return false, so the
-     * verb exits 2 before anything simulates.
-     */
-    bool
-    onlyFlags(const char *verb,
-              std::initializer_list<std::vector<std::string>> known) const
-    {
-        std::vector<std::string> names;
-        for (const std::vector<std::string> &group : known)
-            names.insert(names.end(), group.begin(), group.end());
-        for (const auto &[key, value] : values_) {
-            if (std::find(names.begin(), names.end(), key) !=
-                names.end())
-                continue;
-            std::string close = closestKey(key, names);
-            std::fprintf(stderr, "%s: unknown flag '--%s'%s\n", verb,
-                         key.c_str(),
-                         close.empty()
-                             ? ""
-                             : (" (did you mean '--" + close + "'?)")
-                                   .c_str());
-            return false;
-        }
-        return true;
-    }
-
-  private:
-    std::map<std::string, std::string> values_;
-    std::vector<std::string> positional_;
-};
 
 /** @{ The flags each shared helper below reads. */
 const std::vector<std::string> jobsFlags = {"jobs"};
@@ -179,26 +110,6 @@ const std::vector<std::string> csvFlags = {"csv"};
 /** @} */
 
 /**
- * Apply --jobs N (default: UVMASYNC_JOBS env, then hardware
- * concurrency). Output is byte-identical at any job count; only the
- * wall time changes. Returns false on a malformed value.
- */
-bool
-applyJobsFlag(const Args &args)
-{
-    if (!args.has("jobs"))
-        return true;
-    unsigned long jobs =
-        std::strtoul(args.get("jobs").c_str(), nullptr, 10);
-    if (jobs == 0) {
-        std::fprintf(stderr, "--jobs needs a positive count\n");
-        return false;
-    }
-    setGlobalJobs(static_cast<unsigned>(jobs));
-    return true;
-}
-
-/**
  * Load --inject PLAN.kv and --inject-seed N. The plan is linted
  * before parsing so every problem is reported at once (fromKv alone
  * stops at the first); non-error findings — notably the UAL017
@@ -208,10 +119,7 @@ void
 loadInjectFlags(const Args &args, InjectPlan &plan,
                 std::uint64_t &seed)
 {
-    if (args.has("inject-seed")) {
-        seed = std::strtoull(args.get("inject-seed").c_str(),
-                             nullptr, 10);
-    }
+    seed = args.getUnsigned("inject-seed", seed);
     if (!args.has("inject"))
         return;
     KvConfig kv = KvConfig::fromFile(args.get("inject"));
@@ -262,15 +170,23 @@ class OutSink
 void
 applyWatchdogFlags(const Args &args, SystemConfig &system)
 {
-    if (args.has("watchdog-max-ms"))
-        system.watchdog.maxSimTime = static_cast<Tick>(std::llround(
-            std::stod(args.get("watchdog-max-ms")) * 1e9));
-    if (args.has("watchdog-max-events"))
-        system.watchdog.maxEvents =
-            std::stoull(args.get("watchdog-max-events"));
-    if (args.has("watchdog-max-stall"))
-        system.watchdog.maxStallEvents =
-            std::stoull(args.get("watchdog-max-stall"));
+    if (args.has("watchdog-max-ms")) {
+        double ms = 0.0;
+        if (!parseNumber(args.get("watchdog-max-ms"), ms) ||
+            !(ms >= 0.0)) {
+            std::fprintf(stderr,
+                         "--watchdog-max-ms needs a non-negative "
+                         "number, got '%s'\n",
+                         args.get("watchdog-max-ms").c_str());
+            std::exit(2);
+        }
+        system.watchdog.maxSimTime =
+            static_cast<Tick>(std::llround(ms * 1e9));
+    }
+    system.watchdog.maxEvents = args.getUnsigned(
+        "watchdog-max-events", system.watchdog.maxEvents);
+    system.watchdog.maxStallEvents = args.getUnsigned(
+        "watchdog-max-stall", system.watchdog.maxStallEvents);
 }
 
 /**
@@ -323,14 +239,6 @@ reportJournalHealth(const RunJournal *journal, std::size_t lost)
                  journal->writeError().c_str(), lost);
 }
 
-/** --retries N (default 1): extra same-seed attempts per point. */
-std::uint32_t
-parseRetriesFlag(const Args &args)
-{
-    return static_cast<std::uint32_t>(
-        std::stoul(args.get("retries", "1")));
-}
-
 /** --store DIR, falling back to the UVMASYNC_STORE environment. */
 std::string
 storeDirFlag(const Args &args)
@@ -363,9 +271,7 @@ setupStore(const Args &args, const SystemConfig &system)
         return nullptr;
     StoreOptions opt;
     opt.readonly = args.has("store-readonly");
-    if (args.has("store-max-bytes"))
-        opt.maxBytes = std::strtoull(
-            args.get("store-max-bytes").c_str(), nullptr, 10);
+    opt.maxBytes = args.getUnsigned("store-max-bytes", opt.maxBytes);
     return ResultStore::open(dir, modelSemanticsFingerprint(system),
                              opt);
 }
@@ -692,14 +598,12 @@ cmdRun(const Args &args)
                      args.get("size").c_str());
         return 1;
     }
-    opts.runs = static_cast<std::uint32_t>(
-        std::stoul(args.get("runs", "30")));
-    opts.baseSeed = std::stoull(args.get("seed", "42"));
-    opts.geometry.gridBlocks = std::stoull(args.get("blocks", "0"));
-    opts.geometry.threadsPerBlock = static_cast<std::uint32_t>(
-        std::stoul(args.get("threads", "0")));
-    opts.sharedCarveout =
-        kib(std::stoull(args.get("carveout", "0")));
+    opts.runs = args.getUnsigned<std::uint32_t>("runs", 30);
+    opts.baseSeed = args.getUnsigned("seed", 42);
+    opts.geometry.gridBlocks = args.getUnsigned("blocks", 0);
+    opts.geometry.threadsPerBlock =
+        args.getUnsigned<std::uint32_t>("threads", 0);
+    opts.sharedCarveout = kib(args.getUnsigned("carveout", 0));
     if (!parseLintFlag(args, opts.lint))
         return 1;
     loadInjectFlags(args, opts.inject, opts.injectSeed);
@@ -722,8 +626,8 @@ cmdRun(const Args &args)
         modes.push_back(m);
     }
 
-    if (!applyJobsFlag(args))
-        return 1;
+    // --jobs N; absent (0): UVMASYNC_JOBS, then hardware concurrency.
+    setGlobalJobs(args.getUnsigned<unsigned>("jobs", 0, 1));
     SystemConfig system = args.has("config")
                               ? loadSystemConfig(args.get("config"))
                               : SystemConfig::a100Epyc();
@@ -747,7 +651,7 @@ cmdRun(const Args &args)
         cache.emplace(*store, points);
 
     RunPolicy policy;
-    policy.retries = parseRetriesFlag(args);
+    policy.retries = args.getUnsigned<std::uint32_t>("retries", 1);
     policy.journal = journal.get();
     policy.cache = cache ? &*cache : nullptr;
     ParallelRunner runner(system);
@@ -966,10 +870,9 @@ cmdSweep(const Args &args)
                      args.get("size").c_str());
         return 1;
     }
-    opts.runs = static_cast<std::uint32_t>(
-        std::stoul(args.get("runs", "5")));
-    if (!applyJobsFlag(args))
-        return 1;
+    opts.runs = args.getUnsigned<std::uint32_t>("runs", 5);
+    // --jobs N; absent (0): UVMASYNC_JOBS, then hardware concurrency.
+    setGlobalJobs(args.getUnsigned<unsigned>("jobs", 0, 1));
 
     loadInjectFlags(args, opts.inject, opts.injectSeed);
 
@@ -1013,7 +916,7 @@ cmdSweep(const Args &args)
         cache.emplace(*store, grid.points);
 
     RunPolicy policy;
-    policy.retries = parseRetriesFlag(args);
+    policy.retries = args.getUnsigned<std::uint32_t>("retries", 1);
     policy.journal = journal.get();
     policy.cache = cache ? &*cache : nullptr;
     ParallelRunner runner(system);
@@ -1106,11 +1009,8 @@ cmdStore(const Args &args)
         return 0;
     }
     if (op == "gc") {
-        std::uint64_t maxBytes = 0;
-        if (args.has("store-max-bytes"))
-            maxBytes = std::strtoull(
-                args.get("store-max-bytes").c_str(), nullptr, 10);
-        StoreGcResult gc = gcStore(dir, maxBytes);
+        StoreGcResult gc =
+            gcStore(dir, args.getUnsigned("store-max-bytes", 0));
         std::printf("store '%s': dropped %zu corrupt/torn records, "
                     "evicted %llu segments (%llu bytes); %llu -> "
                     "%llu bytes\n",
@@ -1303,9 +1203,7 @@ cmdClient(const Args &args)
         return 0;
     }
     if (op == "stream") {
-        std::size_t from = static_cast<std::size_t>(
-            std::strtoull(args.get("from", "0").c_str(), nullptr,
-                          10));
+        std::size_t from = args.getUnsigned<std::size_t>("from", 0);
         bool wait = !args.has("no-wait");
         std::string lines;
         std::string state;

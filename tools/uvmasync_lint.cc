@@ -42,6 +42,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -52,6 +53,7 @@
 #include "analysis/cost_model.hh"
 #include "analysis/lint.hh"
 #include "analysis/sarif.hh"
+#include "common/parse_number.hh"
 #include "common/table.hh"
 #include "runtime/config_loader.hh"
 #include "workloads/job_loader.hh"
@@ -130,9 +132,19 @@ parseArgs(int argc, char **argv, Options &opt)
             setFormat(value("--format"));
         else if (arg.rfind("--format=", 0) == 0)
             setFormat(arg.substr(std::strlen("--format=")));
-        else if (arg == "--jobs")
-            opt.jobs = static_cast<unsigned>(
-                std::max(1, std::atoi(value("--jobs").c_str())));
+        else if (arg == "--jobs") {
+            std::string text = value("--jobs");
+            std::uint64_t jobs = 0;
+            if (!parseUnsigned(text, jobs,
+                               std::numeric_limits<unsigned>::max()) ||
+                jobs == 0) {
+                std::fprintf(stderr, "--jobs needs a positive integer, "
+                                     "got '%s'\n",
+                             text.c_str());
+                return false;
+            }
+            opt.jobs = static_cast<unsigned>(jobs);
+        }
         else if (arg == "--pass") {
             std::istringstream iss(value("--pass"));
             std::string name;

@@ -33,54 +33,19 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "common/logging.hh"
 #include "runtime/config_loader.hh"
 #include "serve/daemon.hh"
 #include "serve/server.hh"
 
+#include "args.hh"
+
 using namespace uvmasync;
 
 namespace
 {
-
-/** Minimal --key value argument parser (same shape as the CLI's). */
-class Args
-{
-  public:
-    Args(int argc, char **argv, int start)
-    {
-        for (int i = start; i < argc; ++i) {
-            std::string arg = argv[i];
-            if (arg.rfind("--", 0) == 0) {
-                std::string key = arg.substr(2);
-                if (i + 1 < argc && argv[i + 1][0] != '-')
-                    values_[key] = argv[++i];
-                else
-                    values_[key] = "true";
-            }
-        }
-    }
-
-    std::string
-    get(const std::string &key, const std::string &def = "") const
-    {
-        auto it = values_.find(key);
-        return it == values_.end() ? def : it->second;
-    }
-
-    bool has(const std::string &key) const
-    {
-        return values_.count(key) > 0;
-    }
-
-  private:
-    std::map<std::string, std::string> values_;
-};
 
 ServeSocketServer *gServer = nullptr;
 
@@ -118,9 +83,7 @@ main(int argc, char **argv)
     ServeOptions opt;
     opt.stateDir = stateDir;
     opt.paused = args.has("paused");
-    if (args.has("jobs"))
-        opt.jobs = static_cast<unsigned>(
-            std::strtoul(args.get("jobs").c_str(), nullptr, 10));
+    opt.jobs = args.getUnsigned<unsigned>("jobs", 0);
     if (args.has("config"))
         opt.system = loadSystemConfig(args.get("config"));
     if (!args.has("no-store")) {
@@ -131,9 +94,7 @@ main(int argc, char **argv)
                 opt.storeDir = env;
         }
     }
-    if (args.has("store-max-bytes"))
-        opt.storeMaxBytes = std::strtoull(
-            args.get("store-max-bytes").c_str(), nullptr, 10);
+    opt.storeMaxBytes = args.getUnsigned("store-max-bytes", 0);
 
     // Construction preflights the state directory, opens the store,
     // and recovers persisted batches; the server constructor
