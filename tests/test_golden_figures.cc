@@ -3,8 +3,9 @@
  * Golden-figure regression harness.
  *
  * Runs the Figure 7 (microbenchmarks), Figure 8 (applications) and
- * Figure 14 (inter-job pipeline) pipelines, plus a handful of
- * oversubscribed Mega UVM points, at a fixed seed through
+ * Figure 14 (inter-job pipeline) pipelines, a handful of
+ * oversubscribed Mega UVM points and the whole registry under UVM
+ * at Tiny, Small and Medium, at a fixed seed through
  * the parallel engine and compares the rendered CSV byte-for-byte
  * against the checked-in goldens in tests/golden/. Any change to the
  * simulator's timing model shows up as a diff here, so a perf PR
@@ -231,6 +232,39 @@ TEST(GoldenFigures, OversubMega)
         points.push_back(std::move(point));
     }
     compareOrUpdate("oversub_mega.csv", pointsCsv(points));
+}
+
+/**
+ * The demand-fault regime at the sizes where grids and touched chunk
+ * counts are of one order: every registry workload at Tiny, Small
+ * and Medium under the three UVM modes, one run each. Here blocks
+ * mix resident hits, in-flight chunks, speculative prefetches and
+ * faults, so any drift in the executor's event order reaches the
+ * CSV.
+ */
+TEST(GoldenFigures, UvmRegistry)
+{
+    registerAllWorkloads();
+    const TransferMode modes[] = {TransferMode::Uvm,
+                                  TransferMode::UvmPrefetch,
+                                  TransferMode::UvmPrefetchAsync};
+    std::vector<ExperimentPoint> points;
+    for (SizeClass size :
+         {SizeClass::Tiny, SizeClass::Small, SizeClass::Medium}) {
+        for (const std::string &workload :
+             WorkloadRegistry::instance().names()) {
+            for (TransferMode mode : modes) {
+                ExperimentPoint point;
+                point.workload = workload;
+                point.mode = mode;
+                point.opts = goldenOpts(size);
+                point.opts.runs = 1;
+                points.push_back(std::move(point));
+            }
+        }
+    }
+    ASSERT_EQ(points.size(), 189u);
+    compareOrUpdate("uvm_registry.csv", pointsCsv(points));
 }
 
 /**
