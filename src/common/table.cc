@@ -73,10 +73,10 @@ TextTable::print(std::ostream &os) const
     print_cells(headers_);
     print_line();
     for (const Row &row : rows_) {
-        if (row.separator)
-            print_line();
-        else
+        if (!row.separator)
             print_cells(row.cells);
+        else if (&row != &rows_.back()) // the closing border follows
+            print_line();
     }
     print_line();
 }

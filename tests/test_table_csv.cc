@@ -53,6 +53,18 @@ TEST(TextTable, SeparatorRows)
     EXPECT_NE(t.toString().find("+---"), std::string::npos);
 }
 
+TEST(TextTable, TrailingSeparatorPrintsOneClosingBorder)
+{
+    TextTable t({"a"});
+    t.addRow({"x"});
+    t.addSeparator();
+    EXPECT_EQ(t.toString(), "+---+\n"
+                            "| a |\n"
+                            "+---+\n"
+                            "| x |\n"
+                            "+---+\n");
+}
+
 TEST(Formatters, FmtDouble)
 {
     EXPECT_EQ(fmtDouble(1.23456, 2), "1.23");
