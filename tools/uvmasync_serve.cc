@@ -73,6 +73,10 @@ int
 main(int argc, char **argv)
 {
     Args args(argc, argv, 1);
+    if (!args.onlyFlags("uvmasync-serve",
+                        {{"socket", "state", "jobs", "config", "store",
+                          "no-store", "store-max-bytes", "paused"}}))
+        return 2;
     std::string socketPath = args.get("socket");
     std::string stateDir = args.get("state");
     if (socketPath.empty() || stateDir.empty()) {
