@@ -53,7 +53,8 @@ for arg in "$@"; do
 done
 
 echo "== tier-1: build + full test suite =="
-cmake -B build -S .
+# -Werror: the tree builds warning-free, and a new warning fails here.
+cmake -B build -S . -DUVMASYNC_WERROR=ON
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 

@@ -482,8 +482,9 @@ TEST(IoFaultEnumeration, EveryFaultPointRecoversByteIdentical)
         DaemonRun run = runDaemonWorkload(env, dir);
         EXPECT_EQ(env.stats().injectedFailures, 1u) << "op " << op;
         if (run.constructed && run.acked.size() <
-                                   daemonPayloads().size())
+                                   daemonPayloads().size()) {
             EXPECT_GT(run.stats.ioErrors, 0u) << "op " << op;
+        }
         verifyDaemonRecovery(dir, run);
         removeTree(dir);
     }
