@@ -34,7 +34,9 @@ struct Stream
 
 } // namespace
 
-CacheModelResult
+// Aligned to a cache line so that the speed of the L1 replay does not
+// depend on where the linker happens to place this hot function.
+[[gnu::aligned(64)]] CacheModelResult
 simulateL1(const GpuConfig &cfg, const KernelDescriptor &kd,
            const std::vector<Bytes> &bufferBytes, TransferMode mode,
            Bytes sharedCarveout, std::uint64_t seed)
