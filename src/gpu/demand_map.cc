@@ -9,13 +9,11 @@ namespace uvmasync
 namespace
 {
 
-/** Knuth multiplicative hash onto [0, n). */
+/** Knuth multiplicative hash onto [0, n.divisor()). */
 std::uint64_t
-permuteIndex(std::uint64_t i, std::uint64_t n)
+permuteIndex(std::uint64_t i, const Divider &n)
 {
-    if (n <= 1)
-        return 0;
-    return (i * 2654435761ull + 0x9e3779b9ull) % n;
+    return n.remainder(i * 2654435761ull + 0x9e3779b9ull);
 }
 
 } // namespace
@@ -25,7 +23,7 @@ DemandMap::DemandMap(const KernelDescriptor &kd,
                      Bytes chunkBytes, std::uint64_t groups,
                      const std::vector<std::size_t> &rangeIds)
     : blocks_(std::max<std::uint64_t>(1, kd.gridBlocks)),
-      groups_(std::max<std::uint64_t>(1, groups))
+      groups_(std::max<std::uint64_t>(1, groups)), blocksDiv_(blocks_)
 {
     for (const KernelBufferUse &use : kd.buffers) {
         if (use.bufferId >= bufferBytes.size())
@@ -41,6 +39,7 @@ DemandMap::DemandMap(const KernelDescriptor &kd,
                             rangeIds.empty() ? use.bufferId
                                              : rangeIds[use.bufferId],
                             use.pattern, chunks, touched});
+        touchedDivs_.emplace_back(touched);
     }
 }
 
@@ -50,9 +49,9 @@ DemandMap::blockSpan(std::size_t u, std::uint64_t b) const
     const Use &use = uses_[u];
     std::uint64_t pos = b;
     if (use.pattern == AccessPattern::Irregular)
-        pos = permuteIndex(b, blocks_);
-    ChunkSpan span{pos * use.touched / blocks_,
-                   (pos + 1) * use.touched / blocks_};
+        pos = permuteIndex(b, blocksDiv_);
+    ChunkSpan span{blocksDiv_.quotient(pos * use.touched),
+                   blocksDiv_.quotient((pos + 1) * use.touched)};
     if (span.hi <= span.lo)
         span.hi = span.lo + 1;
     return span;
@@ -77,9 +76,8 @@ std::uint64_t
 DemandMap::chunkAt(std::size_t u, std::uint64_t b,
                    std::uint64_t c) const
 {
-    const Use &use = uses_[u];
-    if (use.pattern == AccessPattern::Random)
-        return permuteIndex(c * blocks_ + b, use.touched);
+    if (uses_[u].pattern == AccessPattern::Random)
+        return permuteIndex(c * blocks_ + b, touchedDivs_[u]);
     return c;
 }
 

@@ -25,6 +25,7 @@
 #include <span>
 #include <vector>
 
+#include "common/divider.hh"
 #include "common/types.hh"
 #include "gpu/kernel_descriptor.hh"
 
@@ -104,6 +105,10 @@ class DemandMap
     std::vector<Use> uses_;
     std::uint64_t blocks_ = 1;
     std::uint64_t groups_ = 1;
+    /** Divides by blocks_, and by each use's touched count (the
+     * span and hash arithmetic run per block and per chunk). */
+    Divider blocksDiv_;
+    std::vector<Divider> touchedDivs_;
 };
 
 } // namespace uvmasync

@@ -85,6 +85,21 @@ class MigrationEngine : public SimObject
     Tick requestChunk(std::size_t rangeId, std::uint64_t chunk, Tick now);
 
     /**
+     * True when every requestChunk() of the chunk at a tick >= @p by
+     * would be a resident hit that returns its own tick and changes
+     * nothing but the chunk's demanded mark: LRU tracking is off (so
+     * no eviction can happen and the chunk stays resident with its
+     * ready tick), the chunk is resident and ready by @p by, and it
+     * is not a speculative prefetch awaiting its first demand (that
+     * demand counts the prefetch useful).
+     */
+    bool quietHit(std::size_t rangeId, std::uint64_t chunk,
+                  Tick by) const;
+
+    /** The one effect of requesting a quietHit() chunk. */
+    void markDemanded(std::size_t rangeId, std::uint64_t chunk);
+
+    /**
      * Bulk cudaMemPrefetchAsync of a whole range issued at @p now.
      *
      * @param churnOk whether a redundant prefetch of already-resident
@@ -184,7 +199,7 @@ class MigrationEngine : public SimObject
     /** Per-chunk engine-side tracking parallel to ManagedRange. */
     struct RangeState
     {
-        std::vector<Tick> readyAt;      //!< maxTick when not migrated
+        std::vector<Tick> readyAt;      //!< maxTick while not resident
         std::vector<bool> prefetched;   //!< arrived speculatively
         std::vector<bool> demanded;     //!< touched by a demand access
         std::uint64_t outstandingPrefetches = 0;

@@ -8,7 +8,11 @@
  * for none. This file keeps that per-group loop, and the old
  * per-block span arithmetic, as a reference: randomised launches over
  * twin UVM worlds must agree on end tick, stall time, faults, every
- * component counter and the traced event sequence. The static
+ * component counter and the traced event sequence, including
+ * launches built to exercise quiet blocks (those that skip the event
+ * queue because every chunk they demand is a resident hit). The
+ * DemandMap's division-free span arithmetic is checked against the
+ * old divide-and-modulo form at grids up to 2^24 blocks. The static
  * dataflow's old demanded-chunk marking is kept the same way and
  * compared with the map's span union over the whole registry.
  */
@@ -103,12 +107,11 @@ struct RefResult
  * (block, group) is one continuation. Slot geometry and block time
  * come from the public resident estimate.
  */
-RefResult
-refRun(const KernelExecConfig &cfg, const KernelDescriptor &kd,
-       Tick start)
+/** Residency slots of a launch, as the executor derives them. */
+std::uint64_t
+refSlots(const KernelExecConfig &cfg, const KernelDescriptor &kd,
+         const KernelStaticEstimate &est)
 {
-    KernelExecutor estimator(cfg);
-    KernelStaticEstimate est = estimator.estimateResident(kd);
     std::uint64_t activeSms = std::min<std::uint64_t>(
         cfg.gpu.smCount, std::max<std::uint64_t>(1, kd.gridBlocks));
     std::uint64_t gridPerSm = (kd.gridBlocks + activeSms - 1) / activeSms;
@@ -118,6 +121,16 @@ refRun(const KernelExecConfig &cfg, const KernelDescriptor &kd,
         1, std::min<std::uint64_t>(activeSms * resident, kd.gridBlocks));
     EXPECT_EQ(est.waves, (kd.gridBlocks + slots - 1) / slots)
         << "reference slot geometry disagrees with the executor";
+    return slots;
+}
+
+RefResult
+refRun(const KernelExecConfig &cfg, const KernelDescriptor &kd,
+       Tick start)
+{
+    KernelExecutor estimator(cfg);
+    KernelStaticEstimate est = estimator.estimateResident(kd);
+    std::uint64_t slots = refSlots(cfg, kd, est);
     Tick blockTime = est.blockTimePs;
 
     MigrationEngine &uvm = *cfg.uvm;
@@ -257,6 +270,83 @@ TEST(DemandMap, NextDemandGroupMatchesBruteForce)
             }
         }
     }
+}
+
+/**
+ * The map's division-free span and hash arithmetic against the old
+ * divide-and-modulo form, for every pattern, at block counts from 1
+ * to 2^24 (a prime near 2^20 among them) and touched prefixes below,
+ * near and far above the block count. Large grids are sampled at
+ * both ends and at random; long spans at both ends.
+ */
+TEST(DemandMap, SpansMatchReferenceArithmetic)
+{
+    const std::uint64_t blockCounts[] = {
+        1, 2, 3, 7, 1048573, std::uint64_t{1} << 21,
+        std::uint64_t{1} << 24};
+    std::mt19937_64 rng(2019);
+    std::uint64_t checked = 0;
+    for (std::uint64_t blocks : blockCounts) {
+        const std::uint64_t toucheds[] = {
+            1, 2, 5, blocks / 3 + 1, blocks, blocks + 1, 3 * blocks + 7,
+            (std::uint64_t{1} << 33) + 5};
+        std::vector<std::uint64_t> sample;
+        for (std::uint64_t b = 0; b < std::min<std::uint64_t>(blocks, 64);
+             ++b) {
+            sample.push_back(b);
+            sample.push_back(blocks - 1 - b);
+        }
+        for (int i = 0; i < 256 && blocks > 128; ++i)
+            sample.push_back(rng() % blocks);
+
+        for (std::uint64_t touched : toucheds) {
+            KernelDescriptor kd;
+            kd.gridBlocks = blocks;
+            // One-byte chunks: each buffer's touched prefix is its
+            // whole length.
+            std::vector<Bytes> bytes(allAccessPatterns.size(), touched);
+            for (std::size_t u = 0; u < allAccessPatterns.size(); ++u) {
+                kd.buffers.push_back(KernelBufferUse{
+                    u, allAccessPatterns[u], true, false, 1.0});
+            }
+            DemandMap map(kd, bytes, 1);
+            ASSERT_EQ(map.uses().size(), allAccessPatterns.size());
+            for (std::uint64_t b : sample) {
+                for (std::size_t u = 0; u < map.uses().size(); ++u) {
+                    AccessPattern pattern = allAccessPatterns[u];
+                    ASSERT_EQ(map.uses()[u].touched, touched);
+                    std::uint64_t pos = b;
+                    if (pattern == AccessPattern::Irregular)
+                        pos = refPermuteIndex(b, blocks);
+                    std::uint64_t lo = pos * touched / blocks;
+                    std::uint64_t hi = (pos + 1) * touched / blocks;
+                    if (hi <= lo)
+                        hi = lo + 1;
+                    ChunkSpan got = map.blockSpan(u, b);
+                    ASSERT_EQ(got.lo, lo)
+                        << accessPatternName(pattern) << " blocks " << blocks
+                        << " touched " << touched << " block " << b;
+                    ASSERT_EQ(got.hi, hi)
+                        << accessPatternName(pattern) << " blocks " << blocks
+                        << " touched " << touched << " block " << b;
+                    for (std::uint64_t c = lo; c < hi; ++c) {
+                        if (c == lo + 16 && hi - lo > 32)
+                            c = hi - 16;
+                        std::uint64_t want = c;
+                        if (pattern == AccessPattern::Random)
+                            want = refPermuteIndex(c * blocks + b,
+                                                   touched);
+                        ASSERT_EQ(map.chunkAt(u, b, c), want)
+                            << accessPatternName(pattern) << " blocks "
+                            << blocks << " touched " << touched
+                            << " block " << b << " position " << c;
+                        ++checked;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(checked, 100000u);
 }
 
 /**
@@ -487,6 +577,198 @@ TEST(DemandDrivenLoop, MatchesPerGroupReference)
     }
     EXPECT_GT(stalledLaunches, 10u);
     EXPECT_GT(evictingWorlds, 10u);
+}
+
+/** How a block's chunks stand against the quiet path. */
+struct BlockView
+{
+    bool quietAtStart = true; //!< every chunk a quiet hit at start
+    bool quietByDemand = true; //!< ... by the first demanding group
+    bool pendingPrefetch = false; //!< some chunk awaits its first demand
+};
+
+BlockView
+viewBlock(const UvmWorld &world, const DemandMap &map, std::uint64_t b,
+          Tick start, Tick perGroupCompute)
+{
+    std::vector<ChunkSpan> spans(map.uses().size());
+    map.blockSpans(b, spans);
+    Tick by = start + map.nextDemandGroup(spans, 0) * perGroupCompute;
+    BlockView view;
+    for (std::size_t u = 0; u < spans.size(); ++u) {
+        std::size_t r = map.uses()[u].rangeId;
+        for (std::uint64_t c = spans[u].lo; c < spans[u].hi; ++c) {
+            std::uint64_t chunk = map.chunkAt(u, b, c);
+            view.quietAtStart &= world.engine.quietHit(r, chunk, start);
+            view.quietByDemand &= world.engine.quietHit(r, chunk, by);
+            // Resident, yet never a quiet hit: a pending prefetch.
+            view.pendingPrefetch |=
+                world.table.range(r).state(chunk) ==
+                    ChunkState::DeviceResident &&
+                !world.engine.quietHit(r, chunk, maxTick - 1);
+        }
+    }
+    return view;
+}
+
+/**
+ * Launches built for the quiet path (blocks whose every chunk is a
+ * side-effect-free resident hit skip the event queue). The worlds
+ * never evict, and a mix of blocks sits at each launch's first wave:
+ *
+ *  - quiet blocks;
+ *  - blocks holding a speculative prefetch that awaits its first
+ *    demand (Stream and Tree prefetchers), which must take the
+ *    event path so that demand counts the prefetch useful;
+ *  - blocks whose chunk is still in flight at block start but ready
+ *    by the first demanding group, which stay quiet;
+ *  - launches that never stall yet mix quiet blocks and event-path
+ *    blocks in their first wave, so quiet finishes from the ring
+ *    and event-path finishes from the heap fall due at the same
+ *    tick.
+ *
+ * Three launches of one kernel run per world; every launch must
+ * match the per-group reference.
+ */
+TEST(DemandDrivenLoop, QuietBlocksMatchPerGroupReference)
+{
+    std::mt19937_64 rng(20261018);
+    const PrefetcherKind prefetchers[] = {
+        PrefetcherKind::Stream, PrefetcherKind::Tree,
+        PrefetcherKind::None};
+    const TransferMode modes[] = {TransferMode::Uvm,
+                                  TransferMode::UvmPrefetchAsync};
+    const Tick starts[] = {microseconds(3), microseconds(150),
+                           milliseconds(2)};
+    std::uint64_t quiet = 0;
+    std::uint64_t quietAfterArrival = 0;
+    std::uint64_t pendingPrefetch = 0;
+    std::uint64_t tiedFinishes = 0;
+    for (int trial = 0; trial < 48; ++trial) {
+        UvmConfig uvmCfg;
+        uvmCfg.demandPrefetcher = prefetchers[trial % 3];
+
+        std::size_t nBuffers = 1 + rng() % 3;
+        std::vector<Bytes> bytes;
+        for (std::size_t i = 0; i < nBuffers; ++i)
+            bytes.push_back((8 + rng() % 56) * uvmCfg.chunkBytes);
+
+        std::size_t nUses = 1 + rng() % 3;
+        std::vector<KernelBufferUse> uses;
+        std::uint64_t touched = 0;
+        for (std::size_t u = 0; u < nUses; ++u) {
+            KernelBufferUse use{
+                rng() % nBuffers,
+                allAccessPatterns[rng() % allAccessPatterns.size()],
+                true, rng() % 2 == 0, rng() % 2 ? 1.0 : 0.5};
+            touched += static_cast<std::uint64_t>(
+                std::ceil(static_cast<double>(bytes[use.bufferId]) /
+                          static_cast<double>(uvmCfg.chunkBytes) *
+                          use.touchedFraction));
+            uses.push_back(use);
+        }
+        std::uint64_t grid = touched * (1 + rng() % 3) + rng() % 4;
+        KernelDescriptor kd = makeStreamKernel(
+            "q" + std::to_string(trial), grid, 128, grid * kib(64),
+            kib(16), 4, 8.0, 4.0, 0.5, 1.0);
+        kd.buffers = uses;
+        // Every fourth world fills its buffers long before the
+        // launch, so nothing stalls. One more buffer, which no use
+        // touches, stays cold and keeps the event loop running.
+        bool filled = trial % 4 == 3;
+        std::size_t warmBuffers = bytes.size();
+        if (filled)
+            bytes.push_back(uvmCfg.chunkBytes);
+
+        KernelExecConfig cfg;
+        cfg.mode = modes[rng() % 2];
+        cfg.bufferBytes = bytes;
+        cfg.maxChunkGroupsPerBlock =
+            2 + static_cast<std::uint32_t>(rng() % 7);
+
+        UvmWorld fast(uvmCfg, gib(40), bytes);
+        UvmWorld ref(uvmCfg, gib(40), bytes);
+        // Fault a stride of chunks at tick 0: the prefetchers bring
+        // speculative neighbours along, and the later faults are
+        // still in flight when the launch starts. Filled worlds then
+        // fault every chunk still missing.
+        std::uint64_t stride = 2 + rng() % 3;
+        for (std::size_t r = 0; r < warmBuffers; ++r) {
+            std::uint64_t chunks = bytes[r] / uvmCfg.chunkBytes;
+            for (std::uint64_t c = rng() % stride; c < chunks;
+                 c += stride) {
+                fast.engine.requestChunk(fast.rangeIds[r], c, 0);
+                ref.engine.requestChunk(ref.rangeIds[r], c, 0);
+            }
+            for (std::uint64_t c = 0; c < chunks && filled; ++c) {
+                if (fast.table.range(fast.rangeIds[r]).state(c) ==
+                    ChunkState::DeviceResident)
+                    continue;
+                fast.engine.requestChunk(fast.rangeIds[r], c, 0);
+                ref.engine.requestChunk(ref.rangeIds[r], c, 0);
+            }
+        }
+
+        KernelExecConfig fastCfg = cfg;
+        fastCfg.uvm = &fast.engine;
+        fastCfg.bufferRangeIds = fast.rangeIds;
+        fastCfg.tracer = &fast.tracer;
+        KernelExecConfig refCfg = cfg;
+        refCfg.uvm = &ref.engine;
+        refCfg.bufferRangeIds = ref.rangeIds;
+        refCfg.tracer = &ref.tracer;
+
+        KernelExecutor exec(fastCfg);
+        KernelStaticEstimate est = exec.estimateResident(kd);
+        std::uint64_t slots = refSlots(cfg, kd, est);
+        DemandMap map(kd, bytes, uvmCfg.chunkBytes,
+                      cfg.maxChunkGroupsPerBlock, fast.rangeIds);
+        Tick perGroupCompute =
+            std::max<Tick>(est.blockTimePs / map.groups(), 1);
+
+        Tick fastStart = filled ? milliseconds(50) : starts[trial % 3];
+        Tick refStart = fastStart;
+        for (int launch = 0; launch < 3; ++launch) {
+            SCOPED_TRACE("trial " + std::to_string(trial) + " launch " +
+                         std::to_string(launch) + " grid " +
+                         std::to_string(grid) + " touched " +
+                         std::to_string(touched));
+            Tick launchDone = fastStart + cfg.gpu.kernelLaunchOverhead;
+            bool eventLoop = !fast.engine.allRangesResident() ||
+                             fast.engine.latestReadyTick() > launchDone;
+            bool anyQuiet = false;
+            bool anyEventPath = false;
+            for (std::uint64_t b = 0; b < slots && eventLoop; ++b) {
+                BlockView view = viewBlock(fast, map, b, launchDone,
+                                           perGroupCompute);
+                quiet += view.quietByDemand;
+                quietAfterArrival +=
+                    view.quietByDemand && !view.quietAtStart;
+                pendingPrefetch += view.pendingPrefetch;
+                anyQuiet |= view.quietByDemand;
+                anyEventPath |= !view.quietByDemand;
+            }
+            KernelResult got = exec.run(kd, fastStart);
+            RefResult want = refRun(refCfg, kd, refStart);
+            ASSERT_EQ(got.endTick, want.end);
+            ASSERT_EQ(got.stallTime, want.stall);
+            ASSERT_EQ(got.faults, want.faults);
+            // No block stalled, so every first-wave block finished one
+            // block time after the launch.
+            tiedFinishes += anyQuiet && anyEventPath && got.stallTime == 0;
+            fastStart = got.endTick;
+            refStart = want.end;
+        }
+        fast.engine.flushTrace();
+        ref.engine.flushTrace();
+        EXPECT_EQ(fast.stats(), ref.stats()) << "trial " << trial;
+        EXPECT_EQ(loopEvents(fast.tracer), loopEvents(ref.tracer))
+            << "trial " << trial;
+    }
+    EXPECT_GT(quiet, 100u);
+    EXPECT_GT(quietAfterArrival, 0u);
+    EXPECT_GT(pendingPrefetch, 10u);
+    EXPECT_GT(tiedFinishes, 0u);
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/divider.hh"
 #include "common/rng.hh"
 #include "l1_reference.hh"
 #include "mem/access_pattern.hh"
@@ -33,6 +34,7 @@ expectDivides(const Divider &div, std::uint64_t n)
     ASSERT_EQ(div.quotient(n), n / d) << n << " / " << d;
     // The cache takes the set as n - d * (n / d).
     ASSERT_EQ(n - d * div.quotient(n), n % d) << n << " % " << d;
+    ASSERT_EQ(div.remainder(n), n % d) << n << " % " << d;
 }
 
 TEST(Divider, EdgeDivisorsAndNumerators)

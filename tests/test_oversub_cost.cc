@@ -7,9 +7,12 @@
  *    runs, so its host time is dominated by the cost of an LRU touch:
  *    with O(1) LRU operations it simulates in about a second; a
  *    linear LRU scan takes minutes.
- *  - lavaMD@super under uvm runs 2^21 blocks over far fewer chunks,
- *    so most of each block's chunk groups demand nothing: the
- *    demand-driven event loop skips them.
+ *  - lavaMD@super under uvm runs 2^21 blocks over far fewer chunks
+ *    and never evicts. Most of each block's chunk groups demand
+ *    nothing, and the demand-driven event loop skips them; of its
+ *    4,194,304 chunk requests only 16,384 fault, so nearly every
+ *    block is quiet (all its chunks resident hits) and skips the
+ *    event queue altogether.
  */
 
 #include <gtest/gtest.h>
