@@ -40,14 +40,27 @@ msSince(Clock::time_point start)
         .count();
 }
 
-/**
- * Hand free heap pages back to the OS. A finished point frees its
- * device state (per-chunk residency arrays run to MiBs at Mega), but
- * once glibc's dynamic mmap threshold has risen those blocks live in
- * the worker's arena, where a later small allocation can pin them; a
- * point running on another worker then peaks on top of that retained
- * heap. A no-op off glibc.
+/*
+ * Peak RSS and the heap. A point's device state (per-chunk residency
+ * arrays) runs to MiBs at Mega. glibc serves blocks that large with
+ * mmap, and freeing one unmaps it at once, but its dynamic mmap
+ * threshold then rises to the freed block's size (up to 32 MiB), so
+ * later arrays of that size land in a worker's arena. There a later
+ * small allocation can pin them, and a point on another worker peaks
+ * on top of that retained heap. Two guards, both no-ops off glibc:
+ *
+ *  - gMmapThresholdPinned fixes the threshold at glibc's initial
+ *    128 KiB while the program loads, before any worker allocates
+ *    (a fixed threshold is never adjusted), so large arrays stay
+ *    mmapped for the whole run;
+ *  - releaseFreeHeap(), after every point, hands whatever arena
+ *    memory is left free back to the OS.
  */
+#if defined(__GLIBC__)
+[[maybe_unused]] const bool gMmapThresholdPinned =
+    mallopt(M_MMAP_THRESHOLD, 128 * 1024) == 1;
+#endif
+
 void
 releaseFreeHeap()
 {

@@ -33,11 +33,14 @@ struct ResidentChunk
  * oversubscription studies.
  *
  * The LRU order is an intrusive doubly-linked list threaded through
- * dense per-range link arrays indexed [rangeId][chunkIndex], so
- * insert(), touch() and evictVictim() are O(1) with no per-chunk
- * heap node and no hash index. A chunk is linked at most once. A
- * link is 16 B, which limits range ids to 16 bits and chunk indices
- * and chunk sizes to 32 bits.
+ * one flat link array in which every range owns a block, so
+ * insert() and touch() are O(1) and evictVictim() is O(log ranges),
+ * with no per-chunk heap node and no hash index. A chunk is linked at
+ * most once. A link is two 32-bit ids (8 B), which limits range ids
+ * to 16 bits and chunk indices and the sum of the range blocks to 32
+ * bits. A linked chunk's size is its range's chunk size unless it
+ * differs (a range's short last chunk), in which case it is kept
+ * apart; either way it must be below 4 GiB.
  */
 class DeviceMemory : public SimObject
 {
@@ -68,12 +71,14 @@ class DeviceMemory : public SimObject
     bool lruTracking() const { return trackLru_; }
 
     /**
-     * Size range @p rangeId's link array for @p chunkCount chunks up
-     * front, so insert() never grows it. A no-op while LRU tracking
-     * is off. Panics, before sizing anything, on a range id of
-     * 65535 or more or more than 2^32 - 1 chunks.
+     * Size range @p rangeId's link array for @p chunkCount chunks of
+     * @p chunkBytes up front, so insert() never grows it and only a
+     * chunk of another size is recorded apart. A no-op while LRU
+     * tracking is off. Panics, before sizing anything, on a range id
+     * of 65535 or more or more than 2^32 - 1 chunks.
      */
-    void reserveRange(std::size_t rangeId, std::uint64_t chunkCount);
+    void reserveRange(std::size_t rangeId, std::uint64_t chunkCount,
+                      Bytes chunkBytes);
 
     /**
      * Note a chunk arriving on the device (appends to LRU tail).
@@ -106,71 +111,60 @@ class DeviceMemory : public SimObject
 
   private:
     static constexpr std::uint16_t kNilRange = UINT16_MAX;
-    static constexpr std::uint32_t kNilChunk = UINT32_MAX;
-
-    /** A (range, chunk) coordinate in links_; a nil range = no
-     * chunk. */
-    struct Slot
-    {
-        std::uint16_t range = kNilRange;
-        std::uint32_t chunk = kNilChunk;
-
-        bool operator==(const Slot &o) const
-        {
-            return range == o.range && chunk == o.chunk;
-        }
-    };
+    /** No link: no neighbour, or a chunk that is not linked. */
+    static constexpr std::uint32_t kNil = UINT32_MAX;
+    static constexpr Bytes kUnsized = ~Bytes{0};
 
     /**
-     * One chunk's LRU neighbours and its resident size, packed to
-     * 16 B: a Mega point tracks 2^18 of these, and a batch runs
-     * several such points at once.
+     * One chunk's LRU neighbours as ids into links_, packed to 8 B: a
+     * Mega point tracks 2^18 of these, and a batch runs several such
+     * points at once.
      */
     struct Link
     {
-        std::uint32_t prevChunk = kNilChunk;
-        std::uint32_t nextChunk = kNilChunk;
-        std::uint32_t bytes = 0;
-        std::uint16_t prevRange = kNilRange;
-        std::uint16_t nextRange = kNilRange;
-
-        Slot prev() const { return Slot{prevRange, prevChunk}; }
-        Slot next() const { return Slot{nextRange, nextChunk}; }
-
-        void
-        setPrev(Slot s)
-        {
-            prevRange = s.range;
-            prevChunk = s.chunk;
-        }
-
-        void
-        setNext(Slot s)
-        {
-            nextRange = s.range;
-            nextChunk = s.chunk;
-        }
+        std::uint32_t prev = kNil;
+        std::uint32_t next = kNil;
     };
-    static_assert(sizeof(Link) == 16, "LRU link must stay 16 B");
+    static_assert(sizeof(Link) == 8, "LRU link must stay 8 B");
 
-    Link &at(Slot s) { return links_[s.range][s.chunk]; }
+    /** A range's block of links_ and the size its chunks share. */
+    struct RangeLinks
+    {
+        std::uint32_t base = 0; //!< link id of chunk 0
+        std::uint32_t size = 0; //!< chunks the block holds
+        /** kUnsized until reserveRange() or the first insert(). */
+        Bytes chunkBytes = kUnsized;
+        /** (chunk, size) of the linked chunks of another size: at
+         * most the short last chunk when the size was reserved. */
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> odd;
+    };
 
-    /** Slot of a linked chunk, or a nil Slot if it is not linked. */
-    Slot linkedSlot(std::size_t rangeId, std::uint64_t chunkIndex);
+    /** Link id of a linked chunk, or kNil if it is not linked. */
+    std::uint32_t linkedId(std::size_t rangeId,
+                           std::uint64_t chunkIndex) const;
 
-    void unlink(Slot s);
-    void pushBack(Slot s);
+    /** Range and chunk of link id @p id. */
+    std::pair<std::uint16_t, std::uint32_t> locate(std::uint32_t id) const;
 
-    /** Drop every link (and the link arrays). */
+    /** Give range @p rangeId a block of at least @p chunkCount links. */
+    void growRange(std::size_t rangeId, std::uint64_t chunkCount);
+
+    void unlink(std::uint32_t id);
+    void pushBack(std::uint32_t id);
+
+    /** Drop every link (and the link array). */
     void dropLinks();
 
     Bytes capacity_;
     Bandwidth bandwidth_;
     bool trackLru_ = true;
     Bytes residentBytes_ = 0;
-    std::vector<std::vector<Link>> links_;
-    Slot head_; //!< least recently used
-    Slot tail_; //!< most recently used
+    std::vector<Link> links_;
+    std::vector<RangeLinks> ranges_;
+    /** (base, range) of every range block, by base. */
+    std::vector<std::pair<std::uint32_t, std::uint16_t>> blocks_;
+    std::uint32_t head_ = kNil; //!< least recently used
+    std::uint32_t tail_ = kNil; //!< most recently used
     std::uint64_t evictions_ = 0;
     Bytes evictedBytes_ = 0;
 };

@@ -140,14 +140,14 @@ TEST(DeviceMemoryDeathTest, RangeIdPastTheLinkLimitPanics)
     DeviceMemory dev("hbm", mib(1), Bandwidth::fromGBps(1400.0));
     EXPECT_DEATH(dev.insert(ResidentChunk{UINT16_MAX, 0, kib(64)}),
                  "exceeds the LRU index");
-    EXPECT_DEATH(dev.reserveRange(std::size_t{1} << 20, 1),
+    EXPECT_DEATH(dev.reserveRange(std::size_t{1} << 20, 1, kib(64)),
                  "exceeds the LRU index");
 }
 
 TEST(DeviceMemoryDeathTest, ChunkOfFourGibPanics)
 {
-    // A link holds a 32-bit size; capacity is only accounting, so a
-    // large device allocates nothing here.
+    // A linked chunk's size is kept in 32 bits; capacity is only
+    // accounting, so a large device allocates nothing here.
     DeviceMemory dev("hbm", gib(16), Bandwidth::fromGBps(1400.0));
     EXPECT_DEATH(dev.insert(ResidentChunk{0, 0, gib(4)}),
                  "4 GiB limit");
@@ -313,7 +313,8 @@ runLruOracle(std::uint64_t seed)
             dev.clear();
             resident.clear();
             if (rng.chance(0.5))
-                dev.reserveRange(rng.uniformInt(ranges), chunksPerRange);
+                dev.reserveRange(rng.uniformInt(ranges), chunksPerRange,
+                                 kib(64));
         } else {
             tracking = !tracking;
             ref.setLruTracking(tracking);
