@@ -55,6 +55,7 @@ ResultCache::prefetch(const std::vector<ExperimentPoint> &points)
     engine_.points += batch.metrics.points;
     engine_.wallMs += batch.metrics.wallMs;
     engine_.busyMs += batch.metrics.busyMs;
+    engine_.pricingMs += batch.metrics.pricingMs;
     engine_.steals += batch.metrics.steals;
     engine_.pointsPerSec =
         engine_.wallMs > 0.0

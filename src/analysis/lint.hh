@@ -74,14 +74,16 @@ DiagnosticEngine enforceLint(const SystemConfig &system, const Job &job,
                              const TransferMode *transferMode = nullptr);
 
 /**
- * The gate of one point in a batch that prices each job once
- * (planLintPricing in core/parallel_runner.hh): enforceLint with the
- * dominated-mode advisory (UAL020) evaluated for each of
- * @p pricedModes. An empty list runs only the structural passes,
- * the only ones that can fail the gate: the cost advisor emits notes
- * and warnings, so skipping it leaves the verdict unchanged.
+ * The gate of a batch that prices each job once (planLintPricing in
+ * core/parallel_runner.hh): enforceLint with the dominated-mode
+ * advisory (UAL020) evaluated for each of @p pricedModes. An empty
+ * list runs only the structural passes, the only ones that can fail
+ * the gate: the cost advisor emits notes and warnings, so skipping
+ * it leaves the verdict unchanged. That is why a batch runs the
+ * empty-list gate inline in every point and the priced gate, which
+ * costs the most, in a task of its own per job, beside the point.
  *
- * A pricing point (non-empty list) also prints the campaign advisor
+ * A priced gate (non-empty list) also prints the campaign advisor
  * line ("advisor: <subject> — predicted winner ...") at inform level
  * from the report the cost-advisor pass built, once per subject per
  * process through the same dedup as the findings. Nothing prints

@@ -37,25 +37,52 @@ Experiment::Experiment(SystemConfig system) : system_(system)
     registerAllWorkloads();
 }
 
+namespace
+{
+
+std::string
+lintSubject(const std::string &workloadName, SizeClass size)
+{
+    return workloadName + " @ " + std::string(sizeClassName(size));
+}
+
+} // namespace
+
 ExperimentResult
 Experiment::run(const std::string &workloadName, TransferMode mode,
                 const ExperimentOptions &opts)
 {
-    return run(workloadName, mode, opts, {mode});
+    return gateAndRun(workloadName, mode, opts, {mode});
 }
 
 ExperimentResult
-Experiment::run(const std::string &workloadName, TransferMode mode,
-                const ExperimentOptions &opts,
-                const std::vector<TransferMode> &pricedModes)
+Experiment::simulate(const std::string &workloadName, TransferMode mode,
+                     const ExperimentOptions &opts)
+{
+    return gateAndRun(workloadName, mode, opts, {});
+}
+
+void
+Experiment::price(const std::string &workloadName,
+                  const ExperimentOptions &opts,
+                  const std::vector<TransferMode> &modes)
+{
+    Job job = WorkloadRegistry::instance().get(workloadName).makeJob(
+        opts.size, opts.geometry);
+    enforceBatchLint(system_, job, lintSubject(workloadName, opts.size),
+                     opts.lint, modes);
+}
+
+ExperimentResult
+Experiment::gateAndRun(const std::string &workloadName, TransferMode mode,
+                       const ExperimentOptions &opts,
+                       const std::vector<TransferMode> &pricedModes)
 {
     const Workload &workload =
         WorkloadRegistry::instance().get(workloadName);
     Job job = workload.makeJob(opts.size, opts.geometry);
 
-    enforceBatchLint(system_, job,
-                     workloadName + " @ " +
-                         std::string(sizeClassName(opts.size)),
+    enforceBatchLint(system_, job, lintSubject(workloadName, opts.size),
                      opts.lint, pricedModes);
 
     Device device(system_);

@@ -117,15 +117,25 @@ class Experiment
                          const ExperimentOptions &opts = {});
 
     /**
-     * Run one cell of a batch that prices each job once: the gate
-     * evaluates UAL020 for each of @p pricedModes, or runs only the
-     * structural passes when the list is empty (enforceBatchLint).
-     * ParallelRunner passes its planLintPricing entry here.
+     * Run one cell of a batch that prices each job in a task of its
+     * own (ParallelRunner): the gate runs only the structural passes,
+     * the only ones that can refuse the cell, then the cell
+     * simulates.
      */
-    ExperimentResult run(const std::string &workloadName,
-                         TransferMode mode,
-                         const ExperimentOptions &opts,
-                         const std::vector<TransferMode> &pricedModes);
+    ExperimentResult simulate(const std::string &workloadName,
+                              TransferMode mode,
+                              const ExperimentOptions &opts);
+
+    /**
+     * Price one job of a batch: the full gate (enforceBatchLint)
+     * with the dominated-mode advisory (UAL020) evaluated for each
+     * of @p modes. Prints its findings and the advisor line. Under
+     * LintMode::Enforce a structural error fatal()s, as in run().
+     * Simulates nothing.
+     */
+    void price(const std::string &workloadName,
+               const ExperimentOptions &opts,
+               const std::vector<TransferMode> &modes);
 
     /** Run all five modes for one workload. */
     std::vector<ExperimentResult>
@@ -133,6 +143,13 @@ class Experiment
                 const ExperimentOptions &opts = {});
 
   private:
+    /** Gate the cell, pricing @p pricedModes (none: structural
+     * passes only), then simulate it. */
+    ExperimentResult gateAndRun(const std::string &workloadName,
+                                TransferMode mode,
+                                const ExperimentOptions &opts,
+                                const std::vector<TransferMode> &pricedModes);
+
     SystemConfig system_;
 };
 

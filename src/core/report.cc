@@ -108,12 +108,13 @@ printTable(std::ostream &os, const std::string &title,
 TextTable
 parallelMetricsTable(const BatchMetrics &metrics)
 {
-    // busy/wall is the average number of points in flight, an upper
+    // busy/wall is the average number of tasks in flight, an upper
     // bound on the speedup actually realised (they coincide when the
-    // machine has at least `jobs` free cores).
+    // machine has at least `jobs` free cores). busy_ms includes the
+    // lint pricing tasks, whose share is pricing_ms.
     TextTable table({"jobs", "points", "wall_ms", "busy_ms",
-                     "points_per_sec", "concurrency", "steals",
-                     "cache_hits"});
+                     "pricing_ms", "points_per_sec", "concurrency",
+                     "steals", "cache_hits"});
     double concurrency = metrics.wallMs > 0.0
                              ? metrics.busyMs / metrics.wallMs
                              : 0.0;
@@ -121,6 +122,7 @@ parallelMetricsTable(const BatchMetrics &metrics)
                   std::to_string(metrics.points),
                   fmtDouble(metrics.wallMs, 1),
                   fmtDouble(metrics.busyMs, 1),
+                  fmtDouble(metrics.pricingMs, 1),
                   fmtDouble(metrics.pointsPerSec, 1),
                   fmtDouble(concurrency, 2),
                   std::to_string(metrics.steals),

@@ -66,8 +66,9 @@ void printTable(std::ostream &os, const std::string &title,
 
 /**
  * Render the parallel engine's host-side batch metrics (jobs, wall
- * time, busy time, points/sec, steals) so the speedup of a parallel
- * sweep is observable alongside the simulated results.
+ * time, busy time and its pricing share, points/sec, steals) so the
+ * speedup of a parallel sweep is observable alongside the simulated
+ * results.
  */
 TextTable parallelMetricsTable(const BatchMetrics &metrics);
 

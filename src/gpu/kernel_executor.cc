@@ -454,37 +454,47 @@ KernelExecutor::run(const KernelDescriptor &kd, Tick start)
                                       b, n, slot});
         };
         // Whether every chunk of block @p b's @p spans is a quiet
-        // hit by @p by; if so, their demands are recorded here.
+        // hit by @p by; if so, their demands are recorded here. Each
+        // chunk id is computed once, kept in quietChunks and marked
+        // from there.
+        std::vector<std::uint64_t> quietChunks;
         auto quietBlock = [&](std::uint64_t b,
                               std::span<const ChunkSpan> spans,
                               Tick by) {
+            quietChunks.clear();
             for (std::size_t u = 0; u < nUses; ++u) {
                 std::size_t rangeId = map.uses()[u].rangeId;
                 for (std::uint64_t c = spans[u].lo; c < spans[u].hi;
                      ++c) {
-                    if (!engine.quietHit(rangeId, map.chunkAt(u, b, c),
-                                         by))
+                    std::uint64_t chunk = map.chunkAt(u, b, c);
+                    if (!engine.quietHit(rangeId, chunk, by))
                         return false;
+                    quietChunks.push_back(chunk);
                 }
             }
+            const std::uint64_t *chunk = quietChunks.data();
             for (std::size_t u = 0; u < nUses; ++u) {
                 std::size_t rangeId = map.uses()[u].rangeId;
-                for (std::uint64_t c = spans[u].lo; c < spans[u].hi;
-                     ++c)
-                    engine.markDemanded(rangeId, map.chunkAt(u, b, c));
+                for (std::uint64_t n = spans[u].hi - spans[u].lo; n > 0;
+                     --n)
+                    engine.markDemanded(rangeId, *chunk++);
             }
             return true;
         };
         // A block whose every chunk is a quiet hit by its first
         // demanding group never stalls and has no other effect than
         // its demanded marks, so it finishes one block time later
-        // without visiting its groups.
+        // without visiting its groups. Only a launch without LRU
+        // tracking has quiet blocks (the job fixes that at its
+        // start).
+        const bool quietPath = !engine.lruTracked();
         auto startBlock = [&](Tick t, std::uint64_t b,
                               std::uint64_t slot) {
             std::span<ChunkSpan> spans = spansOf(slot);
             map.blockSpans(b, spans);
             std::uint64_t n = map.nextDemandGroup(spans, 0);
-            if (quietBlock(b, spans, t + n * perGroupCompute)) {
+            if (quietPath &&
+                quietBlock(b, spans, t + n * perGroupCompute)) {
                 std::uint64_t tail = quietHead + quietCount++;
                 quiet[tail < slots ? tail : tail - slots] =
                     Continuation{t + quietBlockTime, b, groups, slot};

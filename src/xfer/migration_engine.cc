@@ -264,24 +264,6 @@ MigrationEngine::requestChunk(std::size_t rangeId, std::uint64_t chunk,
     return ready;
 }
 
-bool
-MigrationEngine::quietHit(std::size_t rangeId, std::uint64_t chunk,
-                          Tick by) const
-{
-    if (devMem_.lruTracking() || rangeId >= rangeState_.size())
-        return false;
-    // readyAt is maxTick exactly while the chunk is not resident.
-    const RangeState &state = rangeState_[rangeId];
-    return state.readyAt[chunk] <= by &&
-           !(state.prefetched[chunk] && !state.demanded[chunk]);
-}
-
-void
-MigrationEngine::markDemanded(std::size_t rangeId, std::uint64_t chunk)
-{
-    rangeState_[rangeId].demanded[chunk] = true;
-}
-
 void
 MigrationEngine::populateOnDevice(std::size_t rangeId)
 {

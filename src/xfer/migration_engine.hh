@@ -85,19 +85,39 @@ class MigrationEngine : public SimObject
     Tick requestChunk(std::size_t rangeId, std::uint64_t chunk, Tick now);
 
     /**
+     * Whether this job tracks LRU order (so it can evict). Fixed for
+     * the job by beginJob().
+     */
+    bool lruTracked() const { return devMem_.lruTracking(); }
+
+    /**
      * True when every requestChunk() of the chunk at a tick >= @p by
      * would be a resident hit that returns its own tick and changes
-     * nothing but the chunk's demanded mark: LRU tracking is off (so
-     * no eviction can happen and the chunk stays resident with its
-     * ready tick), the chunk is resident and ready by @p by, and it
-     * is not a speculative prefetch awaiting its first demand (that
-     * demand counts the prefetch useful).
+     * nothing but the chunk's demanded mark, provided the job has no
+     * LRU tracking (!lruTracked(): no eviction can happen, so the
+     * chunk stays resident with its ready tick; callers test that
+     * once): the chunk is resident and ready by @p by, and it is not
+     * a speculative prefetch awaiting its first demand (that demand
+     * counts the prefetch useful). Inline: the executor's quiet
+     * check asks it for every chunk of a block.
      */
-    bool quietHit(std::size_t rangeId, std::uint64_t chunk,
-                  Tick by) const;
+    bool
+    quietHit(std::size_t rangeId, std::uint64_t chunk, Tick by) const
+    {
+        if (rangeId >= rangeState_.size())
+            return false;
+        // readyAt is maxTick exactly while the chunk is not resident.
+        const RangeState &state = rangeState_[rangeId];
+        return state.readyAt[chunk] <= by &&
+               !(state.prefetched[chunk] && !state.demanded[chunk]);
+    }
 
     /** The one effect of requesting a quietHit() chunk. */
-    void markDemanded(std::size_t rangeId, std::uint64_t chunk);
+    void
+    markDemanded(std::size_t rangeId, std::uint64_t chunk)
+    {
+        rangeState_[rangeId].demanded[chunk] = true;
+    }
 
     /**
      * Bulk cudaMemPrefetchAsync of a whole range issued at @p now.

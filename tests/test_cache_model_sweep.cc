@@ -59,17 +59,20 @@ TEST_P(CacheModelSweep, RatesInRangeAndDeterministic)
     EXPECT_DOUBLE_EQ(a.storeMissRate, b.storeMissRate);
 }
 
-TEST_P(CacheModelSweep, AsyncStoresNeverWorseForScatterPatterns)
+/** The scatter patterns under the async-copy modes: the pairs whose
+ * stores the staging transform must not make worse. Dense patterns
+ * are already coalesced (and strided stores may ride lines warmed by
+ * the sync load stream), so they are not checked. */
+class CacheModelScatterSweep
+    : public ::testing::TestWithParam<
+          std::tuple<AccessPattern, TransferMode>>
+{
+};
+
+TEST_P(CacheModelScatterSweep, AsyncStoresNeverWorseForScatterPatterns)
 {
     auto [pattern, mode] = GetParam();
-    if (!usesAsyncCopy(mode))
-        GTEST_SKIP() << "async transform only";
-    if (pattern != AccessPattern::Random &&
-        pattern != AccessPattern::Irregular) {
-        // Dense patterns are already coalesced (and strided stores
-        // may ride lines warmed by the sync load stream).
-        GTEST_SKIP() << "not a scatter pattern";
-    }
+    ASSERT_TRUE(usesAsyncCopy(mode));
     GpuConfig gpu;
     KernelDescriptor kd = kernelWith(pattern);
     CacheModelResult sync = simulateL1(gpu, kd, {mib(512)},
@@ -92,6 +95,17 @@ sweepName(const ::testing::TestParamInfo<
     return id;
 }
 
+std::vector<TransferMode>
+asyncCopyModes()
+{
+    std::vector<TransferMode> modes;
+    for (TransferMode mode : allTransferModes) {
+        if (usesAsyncCopy(mode))
+            modes.push_back(mode);
+    }
+    return modes;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, CacheModelSweep,
     ::testing::Combine(::testing::ValuesIn(kPatterns),
@@ -99,6 +113,13 @@ INSTANTIATE_TEST_SUITE_P(
                            std::vector<TransferMode>(
                                allTransferModes.begin(),
                                allTransferModes.end()))),
+    sweepName);
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, CacheModelScatterSweep,
+    ::testing::Combine(::testing::Values(AccessPattern::Random,
+                                         AccessPattern::Irregular),
+                       ::testing::ValuesIn(asyncCopyModes())),
     sweepName);
 
 } // namespace

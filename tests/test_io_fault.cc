@@ -30,7 +30,7 @@
 #include "common/logging.hh"
 #include "core/parallel_runner.hh"
 #include "gpu/transfer_mode.hh"
-#include "io/faulty_env.hh"
+#include "faulty_env.hh"
 #include "io/io_env.hh"
 #include "io/record_log.hh"
 #include "journal/journal.hh"
