@@ -1,48 +1,14 @@
 #include "analysis/sarif.hh"
 
-#include <cstdio>
 #include <sstream>
+
+#include "common/json_escape.hh"
 
 namespace uvmasync
 {
 
 namespace
 {
-
-/** JSON string escaping (control chars, quotes, backslashes). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::ostringstream os;
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\r':
-            os << "\\r";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    return os.str();
-}
 
 const char *
 sarifLevel(Severity s)

@@ -11,28 +11,6 @@ namespace uvmasync
 {
 
 std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strfmt("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-std::string
 hexDouble(double value)
 {
     return strfmt("%a", value);
@@ -272,6 +250,8 @@ class Parser
             char c = text_[pos_++];
             if (c == '"')
                 return true;
+            if (static_cast<unsigned char>(c) < 0x20)
+                return fail("unescaped control character in string");
             if (c != '\\') {
                 out += c;
                 continue;

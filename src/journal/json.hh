@@ -19,11 +19,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/json_escape.hh"
+
 namespace uvmasync
 {
-
-/** Escape a string for embedding in a JSON document (no quotes). */
-std::string jsonEscape(const std::string &text);
 
 /** Exact (%a hexfloat) encoding of a double. */
 std::string hexDouble(double value);
@@ -116,8 +115,9 @@ class JsonValue
 
 /**
  * Parse one JSON document; returns false (with a short reason in
- * @p error) on malformed input. Trailing whitespace is allowed,
- * trailing garbage is not.
+ * @p error) on malformed input, an unescaped control character in
+ * a string included. Trailing whitespace is allowed, trailing
+ * garbage is not.
  */
 bool parseJson(const std::string &text, JsonValue &out,
                std::string &error);

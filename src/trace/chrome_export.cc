@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/json_escape.hh"
+
 namespace uvmasync
 {
 
@@ -21,23 +23,6 @@ microseconds(Tick ps)
     std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%06" PRIu64,
                   ps / 1000000, ps % 1000000);
     return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
 }
 
 void

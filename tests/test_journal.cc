@@ -148,6 +148,7 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_FALSE(parseJson("{\"a\":1} trailing", v, error));
     EXPECT_FALSE(parseJson("{\"a\":", v, error));
     EXPECT_FALSE(parseJson("\"unterminated", v, error));
+    EXPECT_FALSE(parseJson("\"raw\x01-control\"", v, error));
     std::string deep(100, '[');
     EXPECT_FALSE(parseJson(deep, v, error));
     EXPECT_FALSE(parseJson("", v, error));
