@@ -1,30 +1,12 @@
 #include "core/sweep.hh"
 
 #include "common/logging.hh"
-#include "core/report.hh"
 
 namespace uvmasync
 {
 
 namespace
 {
-
-/**
- * Run a sweep grid as one parallel batch and reassemble per-value
- * ModeSets in sweep order. The merge is submission-ordered, so the
- * result is identical to the serial per-value loop this replaces. A
- * quarantined cell degrades the sweep (placeholder + banner) instead
- * of killing it.
- */
-std::vector<SweepPoint>
-runSweepGrid(Experiment &experiment, const SweepGrid &grid,
-             const RunPolicy &policy)
-{
-    ParallelRunner runner(experiment.system());
-    BatchResult batch = runner.runPoints(grid.points, policy);
-    reportDegradedBatch(grid.points, batch);
-    return assembleSweepPoints(grid, batch);
-}
 
 SweepGrid
 makeGrid(const std::string &workload,
@@ -127,41 +109,6 @@ assembleSweepPoints(const SweepGrid &grid, const BatchResult &batch)
         out.push_back(std::move(point));
     }
     return out;
-}
-
-std::vector<SweepPoint>
-Sweep::blockSweep(const std::string &workload,
-                  const std::vector<std::uint64_t> &blockCounts,
-                  const ExperimentOptions &base,
-                  const RunPolicy &policy)
-{
-    return runSweepGrid(experiment_,
-                        blockSweepGrid(workload, blockCounts, base),
-                        policy);
-}
-
-std::vector<SweepPoint>
-Sweep::threadSweep(const std::string &workload,
-                   const std::vector<std::uint32_t> &threadCounts,
-                   std::uint64_t fixedBlocks,
-                   const ExperimentOptions &base,
-                   const RunPolicy &policy)
-{
-    return runSweepGrid(experiment_,
-                        threadSweepGrid(workload, threadCounts,
-                                        fixedBlocks, base),
-                        policy);
-}
-
-std::vector<SweepPoint>
-Sweep::sharedMemSweep(const std::string &workload,
-                      const std::vector<Bytes> &carveouts,
-                      const ExperimentOptions &base,
-                      const RunPolicy &policy)
-{
-    return runSweepGrid(experiment_,
-                        sharedMemSweepGrid(workload, carveouts, base),
-                        policy);
 }
 
 } // namespace uvmasync

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hh"
 #include "core/parallel_runner.hh"
 #include "core/report.hh"
 
@@ -28,9 +27,10 @@ struct SweepPoint
 /**
  * A sweep's (value x mode) grid before execution: one ExperimentPoint
  * per cell, value-major then mode — the canonical submission order.
- * Exposed so callers that need batch-level control (journaling,
- * retry policy, resume) can run the grid through ParallelRunner
- * themselves and reassemble with assembleSweepPoints().
+ * Callers run the grid through ParallelRunner under their own batch
+ * policy (journal, store, retries) and reassemble the outcome in
+ * sweep order with assembleSweepPoints(), so output is independent
+ * of the job count.
  */
 struct SweepGrid
 {
@@ -38,7 +38,14 @@ struct SweepGrid
     std::vector<ExperimentPoint> points;
 };
 
-/** @{ Grid builders matching the Sweep methods below. */
+/** @{
+ * Grid builders of the paper's three sensitivity studies (vector_seq
+ * in the paper). Figure 11: block counts at 256 threads/block unless
+ * @p base sets a thread count. Figure 12: thread counts at a fixed
+ * block count. Figure 13: shared-memory carveouts. An empty value
+ * list is a usage error and trips an assertion — a sweep of zero
+ * points has no meaningful result shape.
+ */
 SweepGrid blockSweepGrid(const std::string &workload,
                          const std::vector<std::uint64_t> &blockCounts,
                          const ExperimentOptions &base = {});
@@ -58,52 +65,6 @@ SweepGrid sharedMemSweepGrid(const std::string &workload,
  */
 std::vector<SweepPoint> assembleSweepPoints(const SweepGrid &grid,
                                             const BatchResult &batch);
-
-/**
- * Runs the paper's three sensitivity studies on one workload
- * (vector_seq in the paper).
- *
- * Every sweep fans its full (value x mode) grid out through the
- * ParallelRunner engine (see parallel_runner.hh) and merges results
- * in sweep order, so output is independent of the job count. An
- * empty value list is a usage error and trips an assertion — a sweep
- * of zero points has no meaningful result shape.
- */
-class Sweep
-{
-  public:
-    explicit Sweep(Experiment &experiment) : experiment_(experiment) {}
-
-    /**
-     * Figure 11: blocks 4096 -> 16 at 256 threads/block.
-     * @p policy forwards batch-level control (retries, journal,
-     * result-store cache) to the underlying ParallelRunner, so an
-     * incremental sweep re-simulates only never-seen cells.
-     */
-    std::vector<SweepPoint>
-    blockSweep(const std::string &workload,
-               const std::vector<std::uint64_t> &blockCounts,
-               const ExperimentOptions &base = {},
-               const RunPolicy &policy = {});
-
-    /** Figure 12: threads 1024 -> 32 at a fixed 64-block grid. */
-    std::vector<SweepPoint>
-    threadSweep(const std::string &workload,
-                const std::vector<std::uint32_t> &threadCounts,
-                std::uint64_t fixedBlocks,
-                const ExperimentOptions &base = {},
-                const RunPolicy &policy = {});
-
-    /** Figure 13: shared-memory carveout 2 KiB -> 128 KiB. */
-    std::vector<SweepPoint>
-    sharedMemSweep(const std::string &workload,
-                   const std::vector<Bytes> &carveouts,
-                   const ExperimentOptions &base = {},
-                   const RunPolicy &policy = {});
-
-  private:
-    Experiment &experiment_;
-};
 
 } // namespace uvmasync
 

@@ -151,12 +151,21 @@ TEST(Report, ComparisonTableRendersDeltas)
 
 // --- Sweeps -----------------------------------------------------------
 
+/** Run a sweep grid as one batch, as `uvmasync sweep` does. */
+std::vector<SweepPoint>
+runSweep(const SweepGrid &grid, const RunPolicy &policy = {},
+         const SystemConfig &system = SystemConfig::a100Epyc())
+{
+    ParallelRunner runner(system);
+    BatchResult batch = runner.runPoints(grid.points, policy);
+    reportDegradedBatch(grid.points, batch);
+    return assembleSweepPoints(grid, batch);
+}
+
 TEST(Sweep, BlockSweepAppliesGeometry)
 {
-    Experiment e;
-    Sweep sweep(e);
-    auto points = sweep.blockSweep("vector_seq", {512, 64},
-                                   smallOpts());
+    auto points =
+        runSweep(blockSweepGrid("vector_seq", {512, 64}, smallOpts()));
     ASSERT_EQ(points.size(), 2u);
     EXPECT_EQ(points[0].value, 512u);
     ASSERT_EQ(points[0].modes.size(), 5u);
@@ -164,10 +173,8 @@ TEST(Sweep, BlockSweepAppliesGeometry)
 
 TEST(Sweep, ThreadSweepChangesKernelTime)
 {
-    Experiment e;
-    Sweep sweep(e);
-    auto points = sweep.threadSweep("vector_seq", {1024, 32}, 64,
-                                    smallOpts());
+    auto points = runSweep(
+        threadSweepGrid("vector_seq", {1024, 32}, 64, smallOpts()));
     double wide = findMode(points[0].modes, TransferMode::Standard)
                       .clean.kernelPs;
     double narrow = findMode(points[1].modes, TransferMode::Standard)
@@ -177,11 +184,8 @@ TEST(Sweep, ThreadSweepChangesKernelTime)
 
 TEST(Sweep, SharedMemSweepChangesResults)
 {
-    Experiment e;
-    Sweep sweep(e);
-    auto points = sweep.sharedMemSweep("vector_seq",
-                                       {kib(4), kib(128)},
-                                       smallOpts());
+    auto points = runSweep(sharedMemSweepGrid(
+        "vector_seq", {kib(4), kib(128)}, smallOpts()));
     ASSERT_EQ(points.size(), 2u);
     double tiny = findMode(points[0].modes, TransferMode::Async)
                       .clean.kernelPs;
@@ -197,14 +201,13 @@ TEST(Sweep, DegradedSweepReportsOnceToStderr)
     // quarantined cell in its robustness table.
     SystemConfig system = SystemConfig::a100Epyc();
     system.watchdog.maxEvents = 1;
-    Experiment e(system);
-    Sweep sweep(e);
     ExperimentOptions opts = smallOpts();
     opts.runs = 1;
     RunPolicy policy;
     policy.retries = 0;
     ::testing::internal::CaptureStderr();
-    auto points = sweep.blockSweep("vector_seq", {512}, opts, policy);
+    auto points =
+        runSweep(blockSweepGrid("vector_seq", {512}, opts), policy, system);
     std::string err = ::testing::internal::GetCapturedStderr();
 
     ASSERT_EQ(points.size(), 1u);
@@ -258,13 +261,11 @@ TEST(SweepDeath, EmptyValueListsAssert)
 {
     // Empty sweep grids are a usage error, not a silent empty result.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    Experiment e;
-    Sweep sweep(e);
-    EXPECT_DEATH(sweep.blockSweep("vector_seq", {}, smallOpts()),
+    EXPECT_DEATH(blockSweepGrid("vector_seq", {}, smallOpts()),
                  "at least one block count");
-    EXPECT_DEATH(sweep.threadSweep("vector_seq", {}, 64, smallOpts()),
+    EXPECT_DEATH(threadSweepGrid("vector_seq", {}, 64, smallOpts()),
                  "at least one thread count");
-    EXPECT_DEATH(sweep.sharedMemSweep("vector_seq", {}, smallOpts()),
+    EXPECT_DEATH(sharedMemSweepGrid("vector_seq", {}, smallOpts()),
                  "at least one carveout");
 }
 
