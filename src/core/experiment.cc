@@ -52,14 +52,13 @@ ExperimentResult
 Experiment::run(const std::string &workloadName, TransferMode mode,
                 const ExperimentOptions &opts)
 {
-    return gateAndRun(workloadName, mode, opts, {mode});
+    return gateAndRun(ExperimentPoint{workloadName, mode, opts}, {mode});
 }
 
 ExperimentResult
-Experiment::simulate(const std::string &workloadName, TransferMode mode,
-                     const ExperimentOptions &opts)
+Experiment::simulate(const ExperimentPoint &point)
 {
-    return gateAndRun(workloadName, mode, opts, {});
+    return gateAndRun(point, {});
 }
 
 void
@@ -74,13 +73,15 @@ Experiment::price(const std::string &workloadName,
 }
 
 ExperimentResult
-Experiment::gateAndRun(const std::string &workloadName, TransferMode mode,
-                       const ExperimentOptions &opts,
+Experiment::gateAndRun(const ExperimentPoint &point,
                        const std::vector<TransferMode> &pricedModes)
 {
-    const Workload &workload =
-        WorkloadRegistry::instance().get(workloadName);
-    Job job = workload.makeJob(opts.size, opts.geometry);
+    const std::string &workloadName = point.workload;
+    const ExperimentOptions &opts = point.opts;
+    Job job = point.jobFile ? point.jobFile->job
+                            : WorkloadRegistry::instance()
+                                  .get(workloadName)
+                                  .makeJob(opts.size, opts.geometry);
 
     enforceBatchLint(system_, job, lintSubject(workloadName, opts.size),
                      opts.lint, pricedModes);
@@ -98,9 +99,10 @@ Experiment::gateAndRun(const std::string &workloadName, TransferMode mode,
     RunOptions runOpts;
     runOpts.sharedCarveout = opts.sharedCarveout;
     runOpts.seed = opts.baseSeed;
+    runOpts.pinnedHost = point.jobFile && point.jobFile->pinned;
     runOpts.tracer = opts.trace ? &tracer : nullptr;
     runOpts.injector = &injector;
-    RunResult det = device.run(job, mode, runOpts);
+    RunResult det = device.run(job, point.mode, runOpts);
 
     // The straddle check applies to the job's whole host footprint —
     // the paper's Mega effect appears when the job's data approaches
@@ -109,7 +111,7 @@ Experiment::gateAndRun(const std::string &workloadName, TransferMode mode,
 
     ExperimentResult res;
     res.workload = workloadName;
-    res.mode = mode;
+    res.mode = point.mode;
     res.size = opts.size;
     res.clean = det.breakdown;
     res.counters = det.counters;

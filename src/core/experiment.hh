@@ -101,6 +101,8 @@ struct ExperimentResult
     SampleSet overallSamples() const;
 };
 
+struct ExperimentPoint;
+
 /**
  * Drives Devices and the noise model over the workload registry.
  */
@@ -117,14 +119,12 @@ class Experiment
                          const ExperimentOptions &opts = {});
 
     /**
-     * Run one cell of a batch that prices each job in a task of its
+     * Run one point of a batch that prices each job in a task of its
      * own (ParallelRunner): the gate runs only the structural passes,
-     * the only ones that can refuse the cell, then the cell
-     * simulates.
+     * the only ones that can refuse the point, then the point
+     * simulates its registry workload or its job file.
      */
-    ExperimentResult simulate(const std::string &workloadName,
-                              TransferMode mode,
-                              const ExperimentOptions &opts);
+    ExperimentResult simulate(const ExperimentPoint &point);
 
     /**
      * Price one job of a batch: the full gate (enforceBatchLint)
@@ -143,11 +143,9 @@ class Experiment
                 const ExperimentOptions &opts = {});
 
   private:
-    /** Gate the cell, pricing @p pricedModes (none: structural
+    /** Gate the point, pricing @p pricedModes (none: structural
      * passes only), then simulate it. */
-    ExperimentResult gateAndRun(const std::string &workloadName,
-                                TransferMode mode,
-                                const ExperimentOptions &opts,
+    ExperimentResult gateAndRun(const ExperimentPoint &point,
                                 const std::vector<TransferMode> &pricedModes);
 
     SystemConfig system_;

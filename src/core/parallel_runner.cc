@@ -452,7 +452,8 @@ ParallelRunner::runPoints(const std::vector<ExperimentPoint> &points,
                 // transfer or trips a watchdog ceiling fails only
                 // this point; siblings are untouched.
                 FatalThrowScope fatalGuard;
-                if (!WorkloadRegistry::instance().find(point.workload))
+                if (!point.jobFile &&
+                    !WorkloadRegistry::instance().find(point.workload))
                     throw std::runtime_error("unknown workload '" +
                                              point.workload + "'");
                 body();
@@ -501,8 +502,7 @@ ParallelRunner::runPoints(const std::vector<ExperimentPoint> &points,
             outcome.metrics.worker = worker;
             outcome.metrics.stolen = stolen;
             runAttempts(point, outcome, [&] {
-                outcome.result = experiment.simulate(
-                    point.workload, point.mode, point.opts);
+                outcome.result = experiment.simulate(point);
             });
         }
         completeTask(index);

@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,12 +32,33 @@
 namespace uvmasync
 {
 
+/**
+ * A job the caller built from a job file, run in place of a registry
+ * workload. Its journal/store identity is the file's content hash.
+ */
+struct JobFile
+{
+    Job job;
+
+    /** jobFileBaseSeed(contents, pinned) of the file. */
+    std::uint64_t contentHash = 0;
+
+    /** Host buffers are pinned (RunOptions::pinnedHost). */
+    bool pinned = false;
+};
+
 /** One point of an experiment grid: a single (workload, mode) cell. */
 struct ExperimentPoint
 {
     std::string workload;
     TransferMode mode = TransferMode::Standard;
     ExperimentOptions opts;
+
+    /**
+     * The job file this point runs, with @ref workload naming its
+     * job; null runs the registry workload @ref workload.
+     */
+    std::shared_ptr<const JobFile> jobFile = nullptr;
 };
 
 /** Host-side execution metrics of one point (not simulated time). */

@@ -223,6 +223,8 @@ pointConfigHash(const ExperimentPoint &point)
     h.u64(p.host.window.endPs);
     h.f64(p.kernel.jitterRate);
     h.u64(p.kernel.jitterPs);
+    if (point.jobFile)
+        h.u64(point.jobFile->contentHash);
     return h.hash();
 }
 

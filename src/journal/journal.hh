@@ -43,9 +43,10 @@ namespace uvmasync
 
 /**
  * Stable 64-bit hash of one point's full configuration: workload,
- * mode, and every ExperimentOptions knob including the inject plan.
- * Machine-independent (FNV-1a over the field values, doubles by bit
- * pattern, finalized with splitmix64).
+ * mode, every ExperimentOptions knob including the inject plan, and
+ * for a job-file point the file's content hash. Machine-independent
+ * (FNV-1a over the field values, doubles by bit pattern, finalized
+ * with splitmix64).
  */
 std::uint64_t pointConfigHash(const ExperimentPoint &point);
 

@@ -1,9 +1,11 @@
 # Checks `uvmasync run --jobfile`: the stencil example runs all five
 # modes to stdout, its one full-gate lint prints the UAL021 dead-write
-# warning once, and the jobfile path prints no advisor line.
+# warning once, and the jobfile path prints no advisor line. A copy
+# whose job name holds a control character (0x01) then runs with
+# --trace, and the export must be valid JSON with that byte escaped.
 #
 #   cmake -DCLI=build/tools/uvmasync -DJOBFILE=examples/jobs/stencil.ini
-#         -P tests/cli_jobfile_run.cmake
+#         -DWORK=/tmp/jobfile_run -P tests/cli_jobfile_run.cmake
 execute_process(
     COMMAND "${CLI}" run --jobfile "${JOBFILE}" --no-store
     OUTPUT_VARIABLE out
@@ -34,3 +36,34 @@ if(err MATCHES "advisor:")
     message(FATAL_ERROR "the jobfile run printed an advisor line:\n"
                         "${err}")
 endif()
+
+file(REMOVE_RECURSE "${WORK}")
+file(MAKE_DIRECTORY "${WORK}")
+file(READ "${JOBFILE}" job)
+string(ASCII 1 ctl)
+string(REPLACE "name = jacobi_stencil" "name = jacobi${ctl}stencil"
+       renamed "${job}")
+if(renamed STREQUAL job)
+    message(FATAL_ERROR "no 'name = jacobi_stencil' line in ${JOBFILE}")
+endif()
+file(WRITE "${WORK}/ctl.ini" "${renamed}")
+execute_process(
+    COMMAND "${CLI}" run --jobfile "${WORK}/ctl.ini" --no-store
+            --trace "${WORK}/trace.json"
+    OUTPUT_QUIET
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "traced run exited with ${rc}:\n${err}")
+endif()
+file(READ "${WORK}/trace.json" trace)
+string(JSON events ERROR_VARIABLE jsonErr LENGTH "${trace}" traceEvents)
+if(jsonErr)
+    message(FATAL_ERROR "the trace is not valid JSON: ${jsonErr}")
+endif()
+string(FIND "${trace}" "${ctl}" raw)
+if(NOT raw EQUAL -1 OR NOT trace MATCHES "jacobi\\\\u0001stencil/standard")
+    message(FATAL_ERROR "the trace does not escape the 0x01 in the "
+                        "job name")
+endif()
+file(REMOVE_RECURSE "${WORK}")

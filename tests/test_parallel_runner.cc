@@ -23,8 +23,11 @@
 #include "common/logging.hh"
 #include "core/parallel_runner.hh"
 #include "inject/inject_plan.hh"
+#include "journal/journal.hh"
+#include "journal/json.hh"
 #include "trace/chrome_export.hh"
 #include "trace/metrics.hh"
+#include "workloads/job_loader.hh"
 #include "workloads/lambda_workload.hh"
 #include "workloads/registry.hh"
 
@@ -972,6 +975,86 @@ TEST_F(PricingTask, FailedPricingFailsItsPricerPoint)
         EXPECT_EQ(out.result.counters.launches, 0u);
     }
     gFailingJobBuilds = 0;
+}
+
+// --- Job-file points ---------------------------------------------------
+
+/** A small job file whose name holds a control character. */
+std::shared_ptr<const JobFile>
+controlCharJobFile()
+{
+    const std::string contents = "[job]\n"
+                                 "name = jacobi\x01stencil\n"
+                                 "[buffer.0]\n"
+                                 "name = grid\n"
+                                 "mib = 8\n"
+                                 "host_consumed = true\n"
+                                 "[kernel.0]\n"
+                                 "name = step\n"
+                                 "blocks = 64\n"
+                                 "total_load_mib = 8\n"
+                                 "buffers = 0:tiled:rw\n";
+    auto file = std::make_shared<JobFile>();
+    file->job = jobFromConfig(KvConfig::fromString(contents, "ctl.ini"));
+    file->contentHash = jobFileBaseSeed(contents, false);
+    return file;
+}
+
+TEST(JobFilePoints, RunOutsideTheRegistryAndTraceToValidJson)
+{
+    // A job file's points run its own job, not a registry workload,
+    // and a control character in the job's name is escaped in the
+    // Chrome export (an unescaped 0x01 makes the file invalid JSON).
+    std::shared_ptr<const JobFile> file = controlCharJobFile();
+    ExperimentOptions opts;
+    opts.runs = 0;
+    opts.baseSeed = 1;
+    opts.lint = LintMode::Off;
+    opts.trace = true;
+    std::vector<ExperimentPoint> points;
+    for (TransferMode mode : {TransferMode::Standard, TransferMode::Uvm})
+        points.push_back(
+            ExperimentPoint{file->job.name, mode, opts, file});
+    ParallelRunner runner(SystemConfig::a100Epyc(), 2);
+    std::vector<ExperimentResult> results = runner.run(points);
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_GT(results[1].counters.faults, 0u);
+
+    std::vector<ChromeTraceJob> jobs;
+    for (const ExperimentResult &res : results) {
+        EXPECT_EQ(res.workload, file->job.name);
+        EXPECT_FALSE(res.trace.empty());
+        jobs.push_back(ChromeTraceJob{
+            res.workload + "/" + transferModeName(res.mode), &res.trace});
+    }
+    std::ostringstream out;
+    writeChromeTrace(out, jobs);
+    EXPECT_NE(out.str().find("jacobi\\u0001stencil/standard"),
+              std::string::npos);
+    JsonValue parsed;
+    std::string error;
+    EXPECT_TRUE(parseJson(out.str(), parsed, error)) << error;
+}
+
+TEST(JobFilePoints, ContentHashIsTheIdentityOnlyWhenAttached)
+{
+    // A registry point hashes as it always did; a job-file point's
+    // identity follows its content hash.
+    ExperimentOptions opts;
+    ExperimentPoint registry{"saxpy", TransferMode::Uvm, opts};
+    ExperimentPoint withNull = registry;
+    withNull.jobFile = nullptr;
+    EXPECT_EQ(pointConfigHash(registry), pointConfigHash(withNull));
+
+    std::shared_ptr<const JobFile> file = controlCharJobFile();
+    auto edited = std::make_shared<JobFile>(*file);
+    edited->contentHash ^= 1;
+    ExperimentPoint a{file->job.name, TransferMode::Uvm, opts, file};
+    ExperimentPoint b{file->job.name, TransferMode::Uvm, opts, edited};
+    EXPECT_NE(pointConfigHash(a), pointConfigHash(b));
+    EXPECT_NE(pointConfigHash(a),
+              pointConfigHash(ExperimentPoint{file->job.name,
+                                              TransferMode::Uvm, opts}));
 }
 
 } // namespace
