@@ -90,12 +90,17 @@ else
 fi
 
 echo "== trace: smoke export of an explicit and a UVM run =="
+# Every export must parse as strict JSON (json.tool rejects, among
+# others, unescaped control characters in strings).
 trace_out=$(mktemp -d)
 trap 'rm -rf "$trace_out"' EXIT
 ./build/tools/uvmasync run --workload saxpy --size tiny --runs 2 \
     --trace "$trace_out/trace.json" --metrics > /dev/null
-grep -q '"traceEvents"' "$trace_out/trace.json"
+python3 -m json.tool "$trace_out/trace.json" > /dev/null
 grep -q '"cat": "fault"' "$trace_out/trace.json"
+./build/tools/uvmasync run --jobfile examples/jobs/stencil.ini \
+    --no-store --trace "$trace_out/jobfile.json" > /dev/null 2>&1
+python3 -m json.tool "$trace_out/jobfile.json" > /dev/null
 
 if [ "$run_chaos" = 1 ]; then
     echo "== chaos: injection suite + injected smoke run =="
@@ -108,6 +113,7 @@ if [ "$run_chaos" = 1 ]; then
         --runs 2 --inject examples/jobs/inject_pcie_degrade.kv \
         --inject-seed 7 \
         --trace "$trace_out/inject.json" --metrics > /dev/null
+    python3 -m json.tool "$trace_out/inject.json" > /dev/null
     grep -q '"cat": "inject"' "$trace_out/inject.json"
     ! grep -q 'inject' "$trace_out/trace.json"
 fi
@@ -122,6 +128,16 @@ echo "== resume: crash-safe journal + watchdog quarantine =="
     --out "$trace_out/par.csv" > /dev/null
 cmp "$trace_out/j1.jsonl" "$trace_out/j4.jsonl"
 cmp "$trace_out/ref.csv" "$trace_out/par.csv"
+# A job file's five modes are one batch as well; `run --jobfile`
+# takes its worker count from UVMASYNC_JOBS.
+for jobs in 1 4; do
+    UVMASYNC_JOBS=$jobs ./build/tools/uvmasync run \
+        --jobfile examples/jobs/stencil.ini --no-store \
+        --journal "$trace_out/jobfile-j$jobs.jsonl" \
+        > "$trace_out/jobfile-j$jobs.stdout" 2> /dev/null
+done
+cmp "$trace_out/jobfile-j1.jsonl" "$trace_out/jobfile-j4.jsonl"
+cmp "$trace_out/jobfile-j1.stdout" "$trace_out/jobfile-j4.stdout"
 # Kill at a record boundary (keep the header + 2 records) and resume
 # at --jobs 4: the completed journal, the merged CSV and stdout must
 # be byte-identical to the uninterrupted serial run (diagnostics such
