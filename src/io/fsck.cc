@@ -1,13 +1,14 @@
 #include "io/fsck.hh"
 
 #include <algorithm>
-#include <set>
+#include <optional>
 
 #include "common/logging.hh"
 #include "io/record_log.hh"
 #include "journal/journal.hh"
 #include "journal/json.hh"
 #include "serve/batch_spec.hh"
+#include "serve/daemon.hh"
 #include "store/result_store.hh"
 
 namespace uvmasync
@@ -134,113 +135,95 @@ tornMessage(const RecordScan &scan)
            " byte(s) past the last intact line)";
 }
 
-/** What one journal walk learned (for cross-layer checks). */
-struct JournalScan
-{
-    bool usable = false;          //!< header made sense
-    std::size_t distinct = 0;     //!< distinct point indices recorded
-};
-
 /**
- * Verify one journal file. With @p points the header must equal
- * journalHeaderLine(points) and every record's config hash must
- * match its point (the serve cross-layer check); without, the header
- * is parsed for its point count. Repairs: from the first bad record
- * on, and a torn tail, are truncated away (the clean prefix stays a
- * valid resumable journal); an unusable header quarantines the file.
+ * Verify one journal file: scanJournal() against @p points (a daemon
+ * batch's grid; null for a standalone journal), each verdict mapped
+ * to a finding. Repairs truncate from the first bad record, or a torn
+ * tail, (the clean prefix stays resumable) and quarantine a file with
+ * an unusable header. Returns the scan, or nothing when unreadable.
  */
-JournalScan
+std::optional<JournalScan>
 checkJournalFile(Ctx &ctx, const std::string &root,
                  const std::string &path,
                  const std::vector<ExperimentPoint> *points,
                  const std::string &layer)
 {
-    JournalScan result;
     ++ctx.report.journalsChecked;
     std::string contents;
     if (!readState(ctx, layer, path, contents))
-        return result;
-    RecordScan scan = scanRecordLog(contents);
+        return std::nullopt;
+    JournalScan scan = scanJournal(contents, points);
 
-    // Header: the exact payload the grid produces when we have one,
-    // a parseable current-version header otherwise.
     std::string problem;
-    std::size_t gridPoints = points ? points->size() : 0;
-    if (scan.records.empty()) {
+    switch (scan.header) {
+      case JournalHeader::Ok:
+        break;
+      case JournalHeader::Missing:
         problem = contents.empty() ? "empty journal (no header line)"
                                    : "no intact header line (torn header)";
-    } else if (legacyJournal(contents)) {
+        if (points) {
+            addFinding(ctx, FsckSeverity::Note, layer, path,
+                       problem + "; the daemon rewrites it from the "
+                                 "batch payload");
+            return scan;
+        }
+        break;
+      case JournalHeader::Version1:
         problem = "format version 1 journal (no record checksums); "
                   "this build cannot resume it";
-    } else if (!scan.records[0].ok()) {
-        problem = "line 1 is not a journal header (" +
-                  scan.records[0].error + ")";
-    } else if (points) {
-        if (scan.records[0].payload != journalHeaderLine(*points))
-            problem = "journal header does not match the batch "
-                      "payload's point grid (campaign mismatch)";
-    } else {
-        std::uint64_t campaign = 0;
-        std::string error;
-        if (!parseJournalHeader(scan.records[0].payload, campaign,
-                                gridPoints, error))
-            problem = "not a journal header (" + error + ")";
+        break;
+      case JournalHeader::Unusable:
+        problem = (scan.log.records[0].ok() ? "not a journal header ("
+                                            : "line 1 is not a journal "
+                                              "header (") +
+                  scan.error + ")";
+        break;
+      case JournalHeader::OtherCampaign:
+        problem = "journal header does not match the batch payload's "
+                  "point grid (campaign mismatch)";
+        break;
     }
     if (!problem.empty()) {
         std::size_t f = addFinding(ctx, FsckSeverity::Damage, layer,
                                    path, problem);
         if (ctx.opt.repair)
             quarantineFile(ctx, root, path, f);
-        return result;
+        return scan;
     }
-    result.usable = true;
 
-    // Records. On the first bad one the rest of the file cannot be
-    // trusted (resume refuses it); the repair keeps the clean prefix
-    // and truncates from the bad record on.
-    std::set<std::size_t> seen;
-    for (std::size_t i = 1; i < scan.records.size(); ++i) {
-        ++ctx.report.recordsChecked;
-        const LogRecord &rec = scan.records[i];
-        std::size_t index = 0;
-        std::uint64_t configHash = 0;
-        PointOutcome outcome;
-        std::string error = rec.error;
-        if (rec.ok())
-            parseJournalRecord(rec.payload, index, configHash, outcome,
-                               error);
-        if (!error.empty()) {
-            problem = "corrupt record (" + error + ")";
-        } else if (index >= gridPoints) {
-            problem = "records point " + std::to_string(index) +
-                      " outside the " + std::to_string(gridPoints) +
-                      "-point grid";
-        } else if (points &&
-                   configHash != pointConfigHash((*points)[index])) {
-            problem = "config hash of point " + std::to_string(index) +
-                      " does not match the batch payload";
-        }
-        if (!problem.empty()) {
-            std::size_t f = addFinding(
-                ctx, FsckSeverity::Damage, layer, path,
-                "line " + std::to_string(i + 1) + " " + problem +
-                    "; " + std::to_string(scan.records.size() - i) +
-                    " record(s) from there on are untrusted");
-            if (ctx.opt.repair)
-                truncateRepair(ctx, path, rec.offset, f);
-            return result;
-        }
-        seen.insert(index);
+    // On the first bad record the rest of the file cannot be trusted
+    // (resume refuses it); the repair keeps the clean prefix.
+    bool fault = scan.fault != JournalFault::None;
+    ctx.report.recordsChecked += scan.records.size() + (fault ? 1 : 0);
+    std::string point = std::to_string(scan.faultPoint);
+    switch (scan.fault) {
+      case JournalFault::None:
+        break;
+      case JournalFault::Corrupt:
+        problem = "corrupt record (" + scan.error + ")";
+        break;
+      case JournalFault::OutsideGrid:
+        problem = "records point " + point + " outside the " +
+                  std::to_string(scan.points) + "-point grid";
+        break;
+      case JournalFault::OtherConfig:
+        problem = "config hash of point " + point +
+                  " does not match the batch payload";
+        break;
     }
-    result.distinct = seen.size();
-
-    if (scan.tornBytes > 0) {
-        std::size_t f = addFinding(ctx, FsckSeverity::Damage, layer,
-                                   path, tornMessage(scan));
+    if (fault || scan.log.tornBytes > 0) {
+        std::size_t f = addFinding(
+            ctx, FsckSeverity::Damage, layer, path,
+            !fault ? tornMessage(scan.log)
+                   : "line " + std::to_string(scan.faultLine + 1) +
+                         " " + problem + "; " +
+                         std::to_string(scan.log.records.size() -
+                                        scan.faultLine) +
+                         " record(s) from there on are untrusted");
         if (ctx.opt.repair)
-            truncateRepair(ctx, path, scan.intactEnd, f);
+            truncateRepair(ctx, path, scan.goodEnd, f);
     }
-    return result;
+    return scan;
 }
 
 /**
@@ -361,77 +344,45 @@ checkServeDir(Ctx &ctx, const std::string &stateDir)
 {
     const std::string layer = "serve";
     std::string batchesDir = stateDir + "/batches";
-    std::vector<std::string> names;
-    IoStatus ls = ctx.env.listDir(batchesDir, names);
+    BatchListing listing;
+    IoStatus ls = listBatchFiles(ctx.env, batchesDir, listing);
     if (!ls.ok) {
         addFinding(ctx, FsckSeverity::Fatal, layer, batchesDir,
                    "cannot list: " + ls.text());
         return;
     }
-
-    std::set<std::uint64_t> payloads;
-    std::set<std::uint64_t> journals;
-    std::set<std::uint64_t> markers;
-    for (const std::string &name : names) {
-        std::uint64_t handle = 0;
-        std::string ext =
-            name.size() > 16 ? name.substr(16) : std::string();
-        if (name.size() > 17 && name[16] == '.' &&
-            parseHexU64(name.substr(0, 16), handle)) {
-            if (ext == ".kv") {
-                payloads.insert(handle);
-                continue;
-            }
-            if (ext == ".jsonl") {
-                journals.insert(handle);
-                continue;
-            }
-            if (ext == ".cancelled") {
-                markers.insert(handle);
-                continue;
-            }
-        }
+    for (const std::string &name : listing.unexpected)
         addFinding(ctx, FsckSeverity::Note, layer,
                    batchesDir + "/" + name,
                    "unexpected file in the batches directory");
-    }
 
-    std::set<std::uint64_t> all;
-    all.insert(payloads.begin(), payloads.end());
-    all.insert(journals.begin(), journals.end());
-    all.insert(markers.begin(), markers.end());
-
-    for (std::uint64_t handle : all) {
-        std::string stem = batchesDir + "/" + hexU64(handle);
-        std::string payloadFile = stem + ".kv";
-        std::string journalFile = stem + ".jsonl";
-        std::string markerFile = stem + ".cancelled";
-
-        if (!payloads.count(handle)) {
-            // Journal/marker without a payload: recovery would never
-            // look at them — dead state pinning a handle.
-            for (const std::string &orphan :
-                 {journalFile, markerFile}) {
-                if (!ctx.env.exists(orphan))
+    for (const auto &[handle, has] : listing.batches) {
+        std::string payloadFile =
+            batchFilePath(batchesDir, handle, BatchPayload);
+        // The journal and the marker mean nothing without a payload.
+        auto quarantineCompanions = [&](const std::string &message) {
+            for (BatchFile file : {BatchJournal, BatchMarker}) {
+                if (!has[file])
                     continue;
-                std::size_t f = addFinding(
-                    ctx, FsckSeverity::Damage, layer, orphan,
-                    "orphaned batch file: no payload for handle " +
-                        hexU64(handle));
+                std::string extra = batchFilePath(batchesDir, handle, file);
+                std::size_t f = addFinding(ctx, FsckSeverity::Damage,
+                                           layer, extra, message);
                 if (ctx.opt.repair)
-                    quarantineFile(ctx, stateDir, orphan, f);
+                    quarantineFile(ctx, stateDir, extra, f);
             }
+        };
+        if (!has[BatchPayload]) {
+            // Recovery never looks at these: dead state pinning a
+            // handle.
+            quarantineCompanions("orphaned batch file: no payload for "
+                                 "handle " + hexU64(handle));
             continue;
         }
 
         ++ctx.report.batchesChecked;
         std::string payload;
-        IoStatus rd = ctx.env.readFile(payloadFile, payload);
-        if (!rd.ok) {
-            addFinding(ctx, FsckSeverity::Fatal, layer, payloadFile,
-                       "cannot read: " + rd.text());
+        if (!readState(ctx, layer, payloadFile, payload))
             continue;
-        }
         BatchSpec spec;
         std::string error;
         if (!parseBatchSpec(payload, spec, error)) {
@@ -440,33 +391,25 @@ checkServeDir(Ctx &ctx, const std::string &stateDir)
                 "payload does not parse: " + error);
             if (ctx.opt.repair) {
                 quarantineFile(ctx, stateDir, payloadFile, f);
-                // Its journal and marker are meaningless without
-                // the payload — quarantine them along.
-                for (const std::string &extra :
-                     {journalFile, markerFile}) {
-                    if (!ctx.env.exists(extra))
-                        continue;
-                    std::size_t fe = addFinding(
-                        ctx, FsckSeverity::Damage, layer, extra,
-                        "batch file of a quarantined payload");
-                    quarantineFile(ctx, stateDir, extra, fe);
-                }
+                quarantineCompanions("batch file of a quarantined payload");
             }
             continue;
         }
 
         std::vector<ExperimentPoint> points = batchSpecPoints(spec);
-        JournalScan scan;
-        if (journals.count(handle))
-            scan = checkJournalFile(ctx, stateDir, journalFile,
-                                    &points, layer);
-
-        if (markers.count(handle) && scan.usable &&
-            !points.empty() && scan.distinct >= points.size()) {
-            addFinding(ctx, FsckSeverity::Note, layer, markerFile,
+        std::optional<JournalScan> scan;
+        if (has[BatchJournal])
+            scan = checkJournalFile(
+                ctx, stateDir, batchFilePath(batchesDir, handle, BatchJournal),
+                &points, layer);
+        // Without the marker, recovery would call the batch finished.
+        if (has[BatchMarker] &&
+            classifyBatch(points, scan ? &*scan : nullptr, false) !=
+                BatchState::Pending)
+            addFinding(ctx, FsckSeverity::Note, layer,
+                       batchFilePath(batchesDir, handle, BatchMarker),
                        "cancelled marker on a fully-recorded batch "
                        "(recovery will classify it cancelled)");
-        }
     }
 
     // Handle-sequence gaps: handles are persisted sequence numbers,
@@ -474,7 +417,9 @@ checkServeDir(Ctx &ctx, const std::string &stateDir)
     // allocating the handle) — worth a note, not damage.
     std::uint64_t prev = 0;
     bool first = true;
-    for (std::uint64_t handle : payloads) {
+    for (const auto &[handle, has] : listing.batches) {
+        if (!has[BatchPayload])
+            continue;
         if (!first && handle > prev + 1) {
             addFinding(ctx, FsckSeverity::Note, layer, batchesDir,
                        "handle sequence gap between " +

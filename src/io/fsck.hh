@@ -5,22 +5,22 @@
  * daemon leave on disk.
  *
  * All three layers write the same checksummed record log
- * (io/record_log.hh), so fsck is one record-level check —
- * scanRecordLog, the frame verification every reader uses — plus
- * each layer's semantic checks. One fsckPath() call auto-detects what
- * a path holds and runs every applicable check:
+ * (io/record_log.hh), and each layer has one reader of its format:
+ * scanJournal for journals, scanStoreSegment for store segments,
+ * listBatchFiles and classifyBatch for the daemon's batches. fsck
+ * is those readers plus a policy that maps each verdict to a
+ * finding and a repair (DESIGN.md §16.3). One fsckPath() call
+ * auto-detects what a path holds and runs every applicable check:
  *
  *  - a daemon state directory (has batches/): each batch's payload
- *    must parse, its journal header must be byte-identical to the
- *    header the payload's point grid produces, every record must
- *    verify and parse with an in-range point index and the matching
- *    config hash, a torn tail is flagged, orphaned journals/markers
+ *    must parse and its journal must scan clean against the
+ *    payload's point grid (a journal without a complete line is a
+ *    note: the daemon rewrites it); orphaned journals/markers
  *    without a payload are flagged, handle-sequence gaps and
  *    cancelled-but-complete contradictions are noted;
  *  - a result-store directory (has meta.json or shards/): meta must
- *    parse, every segment (scanStoreSegment) must carry its shard's
- *    header and records that verify and parse, torn tails are
- *    flagged;
+ *    parse, every segment must carry its shard's header and records
+ *    that verify and parse, torn tails are flagged;
  *  - a standalone journal file: a current-version header, record
  *    verify and parse, index bounds against the header's point
  *    count, torn tail. A version-1 journal (no checksums) is damage.

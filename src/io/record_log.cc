@@ -70,14 +70,9 @@ scanRecordLog(const std::string &contents)
         rec.offset = start;
         std::string_view line(contents.data() + start, nl - start);
         rec.error = verifyFrame(line);
-        if (rec.ok()) {
+        if (rec.ok())
             rec.payload = line.substr(payloadStart,
                                       line.size() - payloadStart - 1);
-            if (scan.intact == scan.records.size()) {
-                ++scan.intact;
-                scan.intactEnd = nl + 1;
-            }
-        }
         scan.records.push_back(std::move(rec));
         start = nl + 1;
     }

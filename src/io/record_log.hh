@@ -18,7 +18,7 @@
  *
  * What a bad record means is each layer's policy, not the log's: the
  * journal refuses to resume past one, the store skips it, the daemon
- * serves only the verified prefix, and fsck reports and repairs.
+ * serves only the records before it, and fsck reports and repairs.
  */
 
 #ifndef UVMASYNC_IO_RECORD_LOG_HH
@@ -52,12 +52,6 @@ struct RecordScan
 {
     /** Every complete line, in file order, verified or not. */
     std::vector<LogRecord> records;
-
-    /** Leading records that verified (the intact prefix). */
-    std::size_t intact = 0;
-
-    /** Byte offset where the intact prefix ends. */
-    std::uint64_t intactEnd = 0;
 
     /** Bytes after the last '\n' (a torn append), 0 when none. */
     std::uint64_t tornBytes = 0;

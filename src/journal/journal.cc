@@ -51,36 +51,70 @@ readBreakdown(const JsonValue &v, TimeBreakdown &out)
 
 // InjectCounters as a flat array — field order is part of the
 // journal format (version-gated), keep it in sync with injector.hh.
+// The writer and the reader share this one list.
+constexpr std::uint64_t InjectCounters::*injectFields[] = {
+    &InjectCounters::degradedTransfers, &InjectCounters::degradedBusyPs,
+    &InjectCounters::transientFailures, &InjectCounters::retries,
+    &InjectCounters::aborts,            &InjectCounters::backoffPs,
+    &InjectCounters::overflowBatches,   &InjectCounters::delayedBatches,
+    &InjectCounters::faultDelayPs,      &InjectCounters::backpressureEvents,
+    &InjectCounters::backpressurePs,    &InjectCounters::stormEvictions,
+    &InjectCounters::slowPageTransfers, &InjectCounters::jitteredLaunches,
+    &InjectCounters::jitterPs};
+
 void
 writeInjectCounters(JsonWriter &w, const InjectCounters &c)
 {
     w.beginArray();
-    for (std::uint64_t v :
-         {c.degradedTransfers, c.degradedBusyPs, c.transientFailures,
-          c.retries, c.aborts, c.backoffPs, c.overflowBatches,
-          c.delayedBatches, c.faultDelayPs, c.backpressureEvents,
-          c.backpressurePs, c.stormEvictions, c.slowPageTransfers,
-          c.jitteredLaunches, c.jitterPs})
-        w.value(v);
+    for (auto field : injectFields)
+        w.value(c.*field);
     w.endArray();
 }
 
 bool
 readInjectCounters(const JsonValue &v, InjectCounters &out)
 {
-    if (!v.isArray() || v.items.size() != 15)
+    if (!v.isArray() || v.items.size() != std::size(injectFields))
         return false;
-    std::uint64_t *fields[15] = {
-        &out.degradedTransfers, &out.degradedBusyPs,
-        &out.transientFailures, &out.retries, &out.aborts,
-        &out.backoffPs, &out.overflowBatches, &out.delayedBatches,
-        &out.faultDelayPs, &out.backpressureEvents,
-        &out.backpressurePs, &out.stormEvictions,
-        &out.slowPageTransfers, &out.jitteredLaunches, &out.jitterPs};
-    for (std::size_t i = 0; i < 15; ++i) {
-        if (!v.items[i].asUint(*fields[i]))
+    for (std::size_t i = 0; i < v.items.size(); ++i) {
+        if (!v.items[i].asUint(out.*injectFields[i]))
             return false;
     }
+    return true;
+}
+
+/** Parse a current-version header payload; false + @p error if not. */
+bool
+parseJournalHeader(const std::string &payload, std::uint64_t &campaign,
+                   std::size_t &points, std::string &error)
+{
+    JsonValue v;
+    if (!parseJson(payload, v, error))
+        return false;
+    const JsonValue *magic = v.find("journal");
+    if (!magic || !magic->isString() || magic->text != "uvmasync") {
+        error = "not a journal header";
+        return false;
+    }
+    const JsonValue *version = v.find("version");
+    std::uint64_t ver = 0;
+    if (!version || !version->asUint(ver) ||
+        ver != static_cast<std::uint64_t>(journalVersion)) {
+        error = strfmt("format version %s, this build reads %d",
+                       version ? version->text.c_str() : "?",
+                       journalVersion);
+        return false;
+    }
+    const JsonValue *camp = v.find("campaign");
+    const JsonValue *pts = v.find("points");
+    std::uint64_t count = 0;
+    if (!camp || !camp->isString() ||
+        !parseHexU64(camp->text, campaign) || !pts ||
+        !pts->asUint(count)) {
+        error = "missing/invalid 'campaign'/'points'";
+        return false;
+    }
+    points = static_cast<std::size_t>(count);
     return true;
 }
 
@@ -362,44 +396,69 @@ parseJournalRecord(const std::string &line, std::size_t &index,
 }
 
 bool
-parseJournalHeader(const std::string &payload, std::uint64_t &campaign,
-                   std::size_t &points, std::string &error)
-{
-    JsonValue v;
-    if (!parseJson(payload, v, error))
-        return false;
-    const JsonValue *magic = v.find("journal");
-    if (!magic || !magic->isString() || magic->text != "uvmasync") {
-        error = "not a journal header";
-        return false;
-    }
-    const JsonValue *version = v.find("version");
-    std::uint64_t ver = 0;
-    if (!version || !version->asUint(ver) ||
-        ver != static_cast<std::uint64_t>(journalVersion)) {
-        error = strfmt("format version %s, this build reads %d",
-                       version ? version->text.c_str() : "?",
-                       journalVersion);
-        return false;
-    }
-    const JsonValue *camp = v.find("campaign");
-    const JsonValue *pts = v.find("points");
-    std::uint64_t count = 0;
-    if (!camp || !camp->isString() ||
-        !parseHexU64(camp->text, campaign) || !pts ||
-        !pts->asUint(count)) {
-        error = "missing/invalid 'campaign'/'points'";
-        return false;
-    }
-    points = static_cast<std::size_t>(count);
-    return true;
-}
-
-bool
 legacyJournal(const std::string &contents)
 {
     return contents.compare(0, sizeof(journalMagicPrefix) - 1,
                             journalMagicPrefix) == 0;
+}
+
+JournalScan
+scanJournal(const std::string &contents,
+            const std::vector<ExperimentPoint> *grid)
+{
+    JournalScan scan;
+    if (legacyJournal(contents)) {
+        scan.header = JournalHeader::Version1;
+        return scan;
+    }
+    // A final line without '\n' was cut mid-append by a crash: the
+    // record log never returns it.
+    scan.log = scanRecordLog(contents);
+    const std::vector<LogRecord> &lines = scan.log.records;
+    if (lines.empty())
+        return scan;
+    const LogRecord &head = lines[0];
+    scan.error = head.error;
+    if (grid && head.ok() && head.payload == journalHeaderLine(*grid)) {
+        scan.points = grid->size();
+    } else if (!head.ok() ||
+               !parseJournalHeader(head.payload, scan.campaign,
+                                   scan.points, scan.error)) {
+        scan.header = JournalHeader::Unusable;
+        return scan;
+    } else if (grid) {
+        scan.header = JournalHeader::OtherCampaign;
+        return scan;
+    }
+    scan.header = JournalHeader::Ok;
+
+    // On the first bad record nothing from there on can be trusted.
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+        JournalRecord rec;
+        rec.line = i;
+        std::uint64_t configHash = 0;
+        std::string error = lines[i].error;
+        if (lines[i].ok())
+            parseJournalRecord(lines[i].payload, rec.point, configHash,
+                               rec.outcome, error);
+        if (!error.empty())
+            scan.fault = JournalFault::Corrupt;
+        else if (rec.point >= scan.points)
+            scan.fault = JournalFault::OutsideGrid;
+        else if (grid && configHash != pointConfigHash((*grid)[rec.point]))
+            scan.fault = JournalFault::OtherConfig;
+        if (scan.fault != JournalFault::None) {
+            scan.faultLine = i;
+            scan.faultPoint = rec.point;
+            scan.error = error;
+            break;
+        }
+        scan.records.push_back(std::move(rec));
+    }
+    scan.goodEnd = scan.fault != JournalFault::None
+                       ? lines[scan.faultLine].offset
+                       : contents.size() - scan.log.tornBytes;
+    return scan;
 }
 
 RunJournal::RunJournal(const std::string &path,
@@ -441,72 +500,59 @@ RunJournal::resume(const std::string &path,
     if (!readSt.ok)
         fatal("journal: cannot open '%s' for resume: %s",
               path.c_str(), readSt.text().c_str());
-    if (legacyJournal(contents))
+    JournalScan scan = scanJournal(contents, &points);
+    switch (scan.header) {
+      case JournalHeader::Ok:
+        break;
+      case JournalHeader::Version1:
         fatal("journal: '%s' was written in format version 1, which "
               "has no record checksums; this build resumes only "
               "version %d. Rerun without --resume (or delete the "
               "journal) to start fresh.",
               path.c_str(), journalVersion);
-
-    // A final line without '\n' was cut mid-append by a crash: the
-    // scan never returns it, and reopening cuts it off.
-    RecordScan scan = scanRecordLog(contents);
-    if (scan.records.empty())
+      case JournalHeader::Missing:
         fatal("journal: '%s' has no intact header line; delete it "
               "and rerun without --resume",
               path.c_str());
-
-    const LogRecord &head = scan.records[0];
-    if (!head.ok() || head.payload != journalHeaderLine(points)) {
-        std::uint64_t campaign = 0;
-        std::size_t count = 0;
-        std::string error = head.error;
-        if (head.ok() &&
-            parseJournalHeader(head.payload, campaign, count, error))
-            fatal("journal: '%s' was written for a different "
-                  "campaign (journal campaign %s, current grid %s "
-                  "over %zu points); the workload grid, options, or "
-                  "inject plan changed. Rerun without --resume (or "
-                  "delete the journal) to start fresh.",
-                  path.c_str(), hexU64(campaign).c_str(),
-                  hexU64(campaignHash(points)).c_str(), points.size());
+      case JournalHeader::OtherCampaign:
+        fatal("journal: '%s' was written for a different "
+              "campaign (journal campaign %s, current grid %s "
+              "over %zu points); the workload grid, options, or "
+              "inject plan changed. Rerun without --resume (or "
+              "delete the journal) to start fresh.",
+              path.c_str(), hexU64(scan.campaign).c_str(),
+              hexU64(campaignHash(points)).c_str(), points.size());
+      case JournalHeader::Unusable:
         fatal("journal: '%s' line 1 is not a usable journal header "
               "(%s); delete it and rerun without --resume",
-              path.c_str(), error.c_str());
+              path.c_str(), scan.error.c_str());
     }
+    if (scan.fault == JournalFault::Corrupt)
+        fatal("journal: '%s' line %zu is corrupt (%s), so no "
+              "record from there on can be trusted. Run "
+              "`uvmasync fsck --repair %s` to cut the journal "
+              "back to its intact records, then resume again.",
+              path.c_str(), scan.faultLine + 1, scan.error.c_str(),
+              path.c_str());
+    if (scan.fault != JournalFault::None)
+        fatal("journal: '%s' line %zu records point %zu with a "
+              "different configuration than the current grid; "
+              "rerun without --resume to start fresh",
+              path.c_str(), scan.faultLine + 1, scan.faultPoint);
 
     std::unique_ptr<RunJournal> journal(
         new RunJournal(path, points, env));
-    for (std::size_t i = 1; i < scan.records.size(); ++i) {
-        const LogRecord &rec = scan.records[i];
-        std::size_t index = 0;
-        std::uint64_t configHash = 0;
-        auto outcome = std::make_unique<PointOutcome>();
-        std::string error = rec.error;
-        if (rec.ok())
-            parseJournalRecord(rec.payload, index, configHash,
-                               *outcome, error);
-        if (!error.empty())
-            fatal("journal: '%s' line %zu is corrupt (%s), so no "
-                  "record from there on can be trusted. Run "
-                  "`uvmasync fsck --repair %s` to cut the journal "
-                  "back to its intact records, then resume again.",
-                  path.c_str(), i + 1, error.c_str(), path.c_str());
-        if (index >= points.size() ||
-            configHash != journal->configHashes_[index])
-            fatal("journal: '%s' line %zu records point %zu with a "
-                  "different configuration than the current grid; "
-                  "rerun without --resume to start fresh",
-                  path.c_str(), i + 1, index);
-        if (!journal->restored_[index])
+    for (JournalRecord &rec : scan.records) {
+        if (!journal->restored_[rec.point])
             ++journal->restoredCount_;
-        journal->restored_[index] = std::move(outcome);
+        journal->restored_[rec.point] =
+            std::make_unique<PointOutcome>(std::move(rec.outcome));
     }
 
     // Append after the last intact record. Intact records keep their
     // exact bytes, so an interrupted-then-resumed journal is
     // byte-identical to an uninterrupted one.
-    IoStatus st = journal->log_.open(scan.intactEnd);
+    IoStatus st = journal->log_.open(scan.goodEnd);
     if (!st.ok)
         fatal("journal: cannot reopen '%s' for appending: %s",
               path.c_str(), st.text().c_str());

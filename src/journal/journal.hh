@@ -149,15 +149,68 @@ std::string journalRecordLine(std::size_t index, std::uint64_t configHash,
 bool parseJournalRecord(const std::string &line, std::size_t &index,
                         std::uint64_t &configHash, PointOutcome &outcome,
                         std::string &error);
-
-/** Parse a current-version header payload; false + @p error if not. */
-bool parseJournalHeader(const std::string &payload,
-                        std::uint64_t &campaign, std::size_t &points,
-                        std::string &error);
 /** @} */
 
 /** True when @p contents starts like a version-1 (unframed) journal. */
 bool legacyJournal(const std::string &contents);
+
+/** What scanJournal() made of a journal's first line. */
+enum class JournalHeader
+{
+    Ok,            //!< a current header (the grid's own, given one)
+    Missing,       //!< no complete line: empty, or a torn header
+    Version1,      //!< a version-1 journal, which has no checksums
+    Unusable,      //!< line 1 fails its frame or is no current header
+    OtherCampaign, //!< a current header written for another grid
+};
+
+/** Why scanJournal() stopped before the last complete record. */
+enum class JournalFault
+{
+    None,
+    Corrupt,     //!< the record fails its frame or its parse
+    OutsideGrid, //!< its point index is past the header's count
+    OtherConfig, //!< its config hash is not its grid point's
+};
+
+/** One record that passed every check. */
+struct JournalRecord
+{
+    std::size_t line = 0;  //!< index into JournalScan::log.records
+    std::size_t point = 0; //!< the point index it records
+    PointOutcome outcome;
+};
+
+/** Everything scanJournal() learned about one journal file. */
+struct JournalScan
+{
+    RecordScan log; //!< the frames, payloads included
+    JournalHeader header = JournalHeader::Missing;
+    std::string error; //!< why line 1 is Unusable, or a record Corrupt
+    std::uint64_t campaign = 0; //!< the header's campaign hash
+    std::size_t points = 0;     //!< the header's point count
+
+    /** Good records in file order, up to the first that failed. */
+    std::vector<JournalRecord> records;
+
+    JournalFault fault = JournalFault::None;
+    std::size_t faultLine = 0;  //!< index into log.records
+    std::size_t faultPoint = 0; //!< the point it claims (grid faults)
+
+    /** Byte offset where the header and the good records end. */
+    std::uint64_t goodEnd = 0;
+};
+
+/**
+ * The one reader of journal bytes. With @p grid, the header must be
+ * the grid's own and every record's config hash its point's; without
+ * one, any current header is Ok and indices are checked against its
+ * point count. Records are read only under an Ok header. What a
+ * verdict means is the caller's policy: `--resume` refuses, the
+ * daemon rewrites or refuses, fsck reports and repairs.
+ */
+JournalScan scanJournal(const std::string &contents,
+                        const std::vector<ExperimentPoint> *grid);
 
 } // namespace uvmasync
 

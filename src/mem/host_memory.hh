@@ -79,8 +79,6 @@ class HostMemory : public SimObject
      */
     double placementFactor(Bytes footprint, Rng &rng);
 
-    std::uint64_t straddledRuns() const { return straddledRuns_; }
-
     /**
      * Attach the fault injector (null detaches): transfers issued
      * inside an injected slow-page window may hit a degraded DIMM.

@@ -104,10 +104,6 @@ class PageTable : public SimObject
     void recordMigration(bool toDevice, Bytes bytes);
 
     std::uint64_t faults() const { return faults_; }
-    std::uint64_t migrationsToDevice() const { return migToDev_; }
-    std::uint64_t migrationsToHost() const { return migToHost_; }
-    Bytes bytesToDevice() const { return bytesToDev_; }
-    Bytes bytesToHost() const { return bytesToHost_; }
 
     void exportStats(StatMap &out) const override;
     void resetStats() override;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <set>
 
 #include "common/logging.hh"
 #include "io/record_log.hh"
@@ -16,26 +17,7 @@ namespace uvmasync
 namespace
 {
 
-/**
- * The verified record payloads of a batch journal, header excluded:
- * the intact prefix of its record log. Recovery and stream() both
- * read exactly this, so they agree by construction. A record that
- * fails its checksum ends the prefix and a torn tail is never
- * returned, so a record once served never changes or disappears: the
- * journal syncs each record before the point's merge callback fires.
- */
-std::vector<std::string>
-journalRecordPayloads(IoEnv &io, const std::string &path)
-{
-    std::vector<std::string> payloads;
-    std::string contents;
-    if (!io.readFile(path, contents).ok)
-        return payloads;
-    RecordScan scan = scanRecordLog(contents);
-    for (std::size_t i = 1; i < scan.intact; ++i)
-        payloads.push_back(std::move(scan.records[i].payload));
-    return payloads;
-}
+constexpr const char *batchFileExt[] = {".kv", ".jsonl", ".cancelled"};
 
 /** PointCache wrapper serializing store access against stats polls. */
 class LockedPointCache : public PointCache
@@ -112,6 +94,51 @@ preflightServeStateDir(const std::string &stateDir, IoEnv &io)
     io.removeFile(probe);
 }
 
+std::string
+batchFilePath(const std::string &batchesDir, BatchHandle handle,
+              BatchFile file)
+{
+    return batchesDir + "/" + hexU64(handle) + batchFileExt[file];
+}
+
+IoStatus
+listBatchFiles(IoEnv &io, const std::string &batchesDir,
+               BatchListing &out)
+{
+    out = BatchListing{};
+    std::vector<std::string> names;
+    IoStatus st = io.listDir(batchesDir, names);
+    for (const std::string &name : names) {
+        std::uint64_t handle = 0;
+        const auto *ext = std::end(batchFileExt);
+        if (name.size() > 16 && parseHexU64(name.substr(0, 16), handle))
+            ext = std::find(std::begin(batchFileExt), ext,
+                            name.substr(16));
+        if (ext == std::end(batchFileExt))
+            out.unexpected.push_back(name);
+        else
+            out.batches[handle][ext - std::begin(batchFileExt)] = true;
+    }
+    return st;
+}
+
+BatchState
+classifyBatch(const std::vector<ExperimentPoint> &points,
+              const JournalScan *journal, bool cancelled)
+{
+    std::set<std::size_t> recorded;
+    bool failed = false;
+    for (std::size_t i = 0; journal && i < journal->records.size(); ++i) {
+        recorded.insert(journal->records[i].point);
+        failed = failed || !journal->records[i].outcome.ok;
+    }
+    if (cancelled)
+        return BatchState::Cancelled;
+    if (points.empty() || recorded.size() < points.size())
+        return BatchState::Pending;
+    return failed ? BatchState::Degraded : BatchState::Done;
+}
+
 ServeDaemon::ServeDaemon(const ServeOptions &opt)
     : opt_(opt), io_(opt.io ? *opt.io : realIoEnv()),
       batchesDir_(opt.stateDir + "/batches"), paused_(opt.paused)
@@ -135,47 +162,23 @@ ServeDaemon::~ServeDaemon()
 }
 
 std::string
-ServeDaemon::payloadPath(BatchHandle handle) const
+ServeDaemon::path(BatchHandle handle, BatchFile file) const
 {
-    return batchesDir_ + "/" + hexU64(handle) + ".kv";
-}
-
-std::string
-ServeDaemon::journalPath(BatchHandle handle) const
-{
-    return batchesDir_ + "/" + hexU64(handle) + ".jsonl";
-}
-
-std::string
-ServeDaemon::markerPath(BatchHandle handle) const
-{
-    return batchesDir_ + "/" + hexU64(handle) + ".cancelled";
+    return batchFilePath(batchesDir_, handle, file);
 }
 
 void
 ServeDaemon::recover()
 {
-    // Collect persisted handles (the .kv payloads) in ascending
-    // order: recovery re-admits unfinished batches in the order they
-    // were originally accepted, under one synthetic client — the
-    // fairness ship has sailed for a restart, but the order is
-    // deterministic and submission-ranked.
-    std::vector<BatchHandle> found;
-    std::vector<std::string> names;
-    if (io_.listDir(batchesDir_, names).ok) {
-        for (const std::string &name : names) {
-            if (name.size() != 19 ||
-                name.compare(16, 3, ".kv") != 0)
-                continue;
-            std::uint64_t handle = 0;
-            if (!parseHexU64(name.substr(0, 16), handle))
-                continue;
-            found.push_back(handle);
-        }
-    }
-    std::sort(found.begin(), found.end());
-
-    for (BatchHandle handle : found) {
+    // Recovery re-admits unfinished batches in the order they were
+    // originally accepted (ascending handle), under one synthetic
+    // client — the fairness ship has sailed for a restart, but the
+    // order is deterministic and submission-ranked.
+    BatchListing listing;
+    listBatchFiles(io_, batchesDir_, listing);
+    for (const auto &[handle, has] : listing.batches) {
+        if (!has[BatchPayload])
+            continue;
         auto batch = std::make_unique<Batch>();
         batch->handle = handle;
         ++stats_.batchesRecovered;
@@ -183,53 +186,45 @@ ServeDaemon::recover()
 
         std::string payload;
         std::string error;
-        if (!io_.readFile(payloadPath(handle), payload).ok ||
+        if (!io_.readFile(path(handle, BatchPayload), payload).ok ||
             !parseBatchSpec(payload, batch->spec, error)) {
             // The payload no longer parses (manual edit, version
             // skew). Refuse the batch, not the daemon: park it
-            // terminal with the reason on record.
+            // terminal, and the warning names the reason.
             warn("serve: recovered batch %s is unusable: %s",
                  hexU64(handle).c_str(),
                  error.empty() ? "unreadable payload"
                                : error.c_str());
-            batch->recoveryError =
-                error.empty() ? "unreadable payload" : error;
             batch->state = BatchState::Degraded;
             batches_.emplace(handle, std::move(batch));
             continue;
         }
         batch->points = batchSpecPoints(batch->spec);
 
-        // Rebuild progress counters from the journal's intact
-        // records; the journal is also what stream() serves, so
-        // status and stream agree by construction.
-        for (const std::string &line :
-             journalRecordPayloads(io_, journalPath(handle))) {
-            std::size_t index = 0;
-            std::uint64_t configHash = 0;
-            PointOutcome outcome;
-            std::string recordError;
-            if (!parseJournalRecord(line, index, configHash, outcome,
-                                    recordError))
-                break;
+        // Progress counters come from the records the journal scan
+        // returns, which stream() serves too.
+        std::optional<JournalScan> scan;
+        std::string contents;
+        if (has[BatchJournal] &&
+            io_.readFile(path(handle, BatchJournal), contents).ok)
+            scan = scanJournal(contents, &batch->points);
+        // A journal without a complete line (a crash before its
+        // header sync) holds nothing ever served: drop it, so the
+        // batch runs on a journal written anew from the payload.
+        if (scan && scan->header == JournalHeader::Missing)
+            io_.removeFile(path(handle, BatchJournal));
+        for (std::size_t i = 0; scan && i < scan->records.size(); ++i) {
+            const PointOutcome &outcome = scan->records[i].outcome;
             batch->statuses.push_back(outcome.status);
-            ++batch->merged;
-            // Every record read back at recovery was restored from
-            // disk, whether or not the batch still needs to run.
-            ++batch->restored;
             outcome.ok ? ++batch->ok : ++batch->failed;
         }
-
-        if (io_.exists(markerPath(handle))) {
-            batch->state = BatchState::Cancelled;
-        } else if (!batch->points.empty() &&
-                   batch->merged >= batch->points.size()) {
-            batch->state = batch->failed > 0 ? BatchState::Degraded
-                                             : BatchState::Done;
-        } else {
-            batch->state = BatchState::Pending;
+        // Every record read back at recovery was restored from disk,
+        // whether or not the batch still needs to run.
+        batch->merged = batch->restored = batch->statuses.size();
+        batch->state = classifyBatch(batch->points, scan ? &*scan : nullptr,
+                                     has[BatchMarker]);
+        if (batch->state == BatchState::Pending)
             queue_.admit(0, handle);
-        }
         batches_.emplace(handle, std::move(batch));
     }
 }
@@ -248,12 +243,12 @@ ServeDaemon::submit(std::uint64_t client, const std::string &payload,
     // acknowledged: once a client holds a handle, a daemon restart
     // will recover the batch.
     IoStatus persisted =
-        io_.writeFileDurable(payloadPath(handle), payload);
+        io_.writeFileDurable(path(handle, BatchPayload), payload);
     if (!persisted.ok) {
         // Never ack a handle whose payload is not durable — and never
         // leave a torn payload for recovery to trip over (best
         // effort; a survivor parses or parks Degraded, not fatal).
-        io_.removeFile(payloadPath(handle));
+        io_.removeFile(path(handle, BatchPayload));
         ++stats_.ioErrors;
         error = "cannot persist batch payload: " + persisted.text();
         return 0;
@@ -308,6 +303,7 @@ ServeDaemon::stream(BatchHandle handle, std::size_t fromRecord,
     // "terminal + these lines" can never under-report. The other
     // order could miss a record committed between the two reads.
     BatchState state;
+    const std::vector<ExperimentPoint> *points = nullptr;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = batches_.find(handle);
@@ -316,20 +312,23 @@ ServeDaemon::stream(BatchHandle handle, std::size_t fromRecord,
             return false;
         }
         state = it->second->state;
+        points = &it->second->points; // never changes after admission
     }
-    std::vector<std::string> records =
-        journalRecordPayloads(io_, journalPath(handle));
+    // Serve the records the journal scan returns against the batch's
+    // grid. The journal syncs each record before the point's merge
+    // callback fires, so a record once served never changes.
+    std::string contents;
+    io_.readFile(path(handle, BatchJournal), contents);
+    JournalScan scan = scanJournal(contents, points);
     out = StreamChunk{};
     out.state = state;
     out.terminal = batchStateTerminal(state);
-    if (fromRecord > records.size())
-        fromRecord = records.size();
-    for (std::size_t i = fromRecord; i < records.size(); ++i) {
-        out.lines += records[i];
+    for (std::size_t i = fromRecord; i < scan.records.size(); ++i) {
+        out.lines += scan.log.records[scan.records[i].line].payload;
         out.lines += '\n';
         ++out.records;
     }
-    out.nextRecord = records.size();
+    out.nextRecord = scan.records.size();
     return true;
 }
 
@@ -352,12 +351,9 @@ ServeDaemon::cancel(BatchHandle handle, BatchState &result,
         // never a reason to refuse the cancel.
         auto writeMarker = [&] {
             IoStatus st =
-                io_.writeFileDurable(markerPath(handle), "");
+                io_.writeFileDurable(path(handle, BatchMarker), "");
             if (!st.ok) {
                 ++stats_.ioErrors;
-                if (batch.ioError.empty())
-                    batch.ioError =
-                        "cancel marker not durable: " + st.text();
                 warn("serve: batch %s cancel marker not durable "
                      "(%s); a restart may re-run the batch",
                      hexU64(handle).c_str(), st.text().c_str());
@@ -518,19 +514,15 @@ ServeDaemon::runBatch(Batch &batch)
     // daemon — one tenant's poisoned state must never take the
     // service down.
     std::unique_ptr<RunJournal> journal;
-    std::string path = journalPath(batch.handle);
+    std::string file = path(batch.handle, BatchJournal);
     try {
         FatalThrowScope fatalGuard;
-        journal = io_.exists(path)
-                      ? RunJournal::resume(path, batch.points, io_)
-                      : RunJournal::create(path, batch.points, io_);
+        journal = io_.exists(file)
+                      ? RunJournal::resume(file, batch.points, io_)
+                      : RunJournal::create(file, batch.points, io_);
     } catch (const std::exception &e) {
         warn("serve: batch %s journal unusable: %s",
              hexU64(batch.handle).c_str(), e.what());
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            batch.recoveryError = e.what();
-        }
         finishBatch(batch, BatchState::Degraded);
         return;
     }
@@ -584,12 +576,6 @@ ServeDaemon::runBatch(Batch &batch)
     if (result.metrics.journalErrors > 0 || journal->writeFailed()) {
         std::lock_guard<std::mutex> lock(mutex_);
         stats_.ioErrors += result.metrics.journalErrors;
-        if (batch.ioError.empty())
-            batch.ioError = "journal write failed: " +
-                            journal->writeError() + " (" +
-                            std::to_string(
-                                result.metrics.journalErrors) +
-                            " record(s) not journaled)";
         warn("serve: batch %s journal write failed (%s); %zu "
              "record(s) not journaled",
              hexU64(batch.handle).c_str(),

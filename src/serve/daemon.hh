@@ -33,10 +33,10 @@
  *   <state>/batches/<handle16>.cancelled  cancellation marker
  *
  * Handles are persisted sequence numbers (hexU64-rendered on the
- * wire); recovery scans the payloads in handle order, classifies
- * each batch by its journal (absent/partial → pending again,
- * complete → done/degraded, marker → cancelled), and re-admits
- * unfinished work before the first client connects.
+ * wire); recovery lists the payloads in handle order, classifies
+ * each batch by its journal (listBatchFiles, scanJournal and
+ * classifyBatch, which fsck calls too), and re-admits unfinished
+ * work before the first client connects.
  *
  * No wall-clock anywhere: scheduling is queue order, recovery order
  * is handle order, and the result stream is the journal's payloads —
@@ -47,6 +47,7 @@
 #ifndef UVMASYNC_SERVE_DAEMON_HH
 #define UVMASYNC_SERVE_DAEMON_HH
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -66,6 +67,8 @@
 
 namespace uvmasync
 {
+
+struct JournalScan;
 
 /** Daemon configuration. */
 struct ServeOptions
@@ -186,6 +189,40 @@ struct ServeStats
 void preflightServeStateDir(const std::string &stateDir,
                             IoEnv &io = realIoEnv());
 
+/** The files one batch owns under <state>/batches/. */
+enum BatchFile : std::size_t
+{
+    BatchPayload, //!< <handle16>.kv: the submission payload, fsync'd
+    BatchJournal, //!< <handle16>.jsonl: the batch's run journal
+    BatchMarker,  //!< <handle16>.cancelled: the cancel marker
+};
+
+/** The path of one batch file: the one place names are built. */
+std::string batchFilePath(const std::string &batchesDir,
+                          BatchHandle handle, BatchFile file);
+
+/** What listBatchFiles() found in a batches directory. */
+struct BatchListing
+{
+    /** Per handle, which of its files exist (indexed by BatchFile). */
+    std::map<BatchHandle, std::array<bool, 3>> batches;
+    std::vector<std::string> unexpected; //!< names of no batch file
+};
+
+/** List @p batchesDir: the one place batch file names are parsed. */
+IoStatus listBatchFiles(IoEnv &io, const std::string &batchesDir,
+                        BatchListing &out);
+
+/**
+ * Classify a recovered batch from its payload's @p points, the scan
+ * of its journal against them (null: none readable) and its cancel
+ * marker: cancelled; done (degraded if a point failed) once every
+ * point has a good record; else pending, and running it resumes the
+ * journal. Daemon recovery and fsck both call this.
+ */
+BatchState classifyBatch(const std::vector<ExperimentPoint> &points,
+                         const JournalScan *journal, bool cancelled);
+
 /**
  * The daemon. Construction preflights the state directory, opens the
  * shared store, recovers every persisted batch, and starts the
@@ -216,12 +253,13 @@ class ServeDaemon
 
     /**
      * Read the batch's result stream from record @p fromRecord on:
-     * the payloads of the journal's verified record prefix right now
-     * (a record failing its checksum ends the prefix, exactly as at
-     * recovery). The journal is fsync'd before a point's merge
-     * callback fires, so a line once visible never changes — clients
-     * may chunk at any pace, across daemon restarts, and concatenated
-     * chunks are byte-identical to the batch CLI's journal payloads.
+     * the payloads of the records scanJournal() returns right now (a
+     * record failing its frame, its parse or its grid check ends
+     * them, exactly as at recovery). The journal is fsync'd before a
+     * point's merge callback fires, so a line once visible never
+     * changes — clients may chunk at any pace, across daemon
+     * restarts, and concatenated chunks are byte-identical to the
+     * batch CLI's journal payloads.
      */
     bool stream(BatchHandle handle, std::size_t fromRecord,
                 StreamChunk &out, std::string &error) const;
@@ -274,21 +312,9 @@ class ServeDaemon
 
         /** Terminal status of merged points (size = merged). */
         std::vector<PointStatus> statuses;
-
-        /** Rejected at recovery (payload no longer parses). */
-        std::string recoveryError;
-
-        /**
-         * First durable-state write failure this batch saw (errno
-         * text); set alongside BatchState::Degraded so a poll can
-         * distinguish "points failed" from "disk failed".
-         */
-        std::string ioError;
     };
 
-    std::string payloadPath(BatchHandle handle) const;
-    std::string journalPath(BatchHandle handle) const;
-    std::string markerPath(BatchHandle handle) const;
+    std::string path(BatchHandle handle, BatchFile file) const;
 
     void recover();
     void schedulerLoop();

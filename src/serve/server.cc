@@ -81,60 +81,35 @@ statsPayload(const ServeStats &stats)
 }
 
 /**
- * Parse the `batch` key of a request payload. The KV parser fatal()s
- * on malformed lines; a garbled request must only fail that request,
- * never the daemon — same guard as parseBatchSpec.
+ * Parse a request payload: its `batch` handle and, for a Stream
+ * request (@p fromRecord and @p wait given), `from` and `wait`. The
+ * KV parser and its typed getters fatal() on malformed input; a
+ * garbled request must only fail that request, never the daemon —
+ * same guard as parseBatchSpec.
  */
 bool
-parseHandleField(const std::string &payload, BatchHandle &handle,
-                 std::string &error)
+parseRequest(const std::string &payload, BatchHandle &handle,
+             std::string &error, std::size_t *fromRecord = nullptr,
+             bool *wait = nullptr)
 {
     try {
         FatalThrowScope fatalGuard;
         KvConfig kv = KvConfig::fromString(payload, "<request>");
         std::string text = kv.getString("batch");
-        if (text.empty()) {
+        if (text.empty())
             error = "request is missing the batch handle";
-            return false;
-        }
-        if (!parseHexU64(text, handle)) {
+        else if (!parseHexU64(text, handle))
             error = "malformed batch handle '" + text + "'";
-            return false;
-        }
-        return true;
-    } catch (const std::exception &e) {
-        error = e.what();
-        return false;
-    }
-}
-
-/**
- * Parse a Stream request (batch + from + wait). The typed getters
- * fatal() on a non-integer `from` or non-boolean `wait`, so they run
- * under the same guard as the handle parse.
- */
-bool
-parseStreamRequest(const std::string &payload, BatchHandle &handle,
-                   std::size_t &fromRecord, bool &wait,
-                   std::string &error)
-{
-    if (!parseHandleField(payload, handle, error))
-        return false;
-    try {
-        FatalThrowScope fatalGuard;
-        KvConfig kv = KvConfig::fromString(payload, "<request>");
-        std::int64_t from = kv.getInt("from", 0);
-        if (from < 0) {
+        else if (fromRecord && kv.getInt("from", 0) < 0)
             error = "stream 'from' must be >= 0";
-            return false;
+        else if (fromRecord) {
+            *fromRecord = static_cast<std::size_t>(kv.getInt("from", 0));
+            *wait = kv.getBool("wait", true);
         }
-        fromRecord = static_cast<std::size_t>(from);
-        wait = kv.getBool("wait", true);
-        return true;
     } catch (const std::exception &e) {
         error = e.what();
-        return false;
     }
+    return error.empty();
 }
 
 } // namespace
@@ -346,7 +321,7 @@ ServeSocketServer::handleFrame(Connection &conn, const Frame &frame)
       case FrameType::Status: {
         BatchHandle handle = 0;
         BatchStatus status;
-        if (!parseHandleField(frame.payload, handle, error) ||
+        if (!parseRequest(frame.payload, handle, error) ||
             !daemon_.status(handle, status, error)) {
             sendFrame(conn, FrameType::Error, error);
             return;
@@ -359,8 +334,8 @@ ServeSocketServer::handleFrame(Connection &conn, const Frame &frame)
         BatchHandle handle = 0;
         std::size_t fromRecord = 0;
         bool wait = true;
-        if (!parseStreamRequest(frame.payload, handle, fromRecord,
-                                wait, error)) {
+        if (!parseRequest(frame.payload, handle, error, &fromRecord,
+                          &wait)) {
             sendFrame(conn, FrameType::Error, error);
             return;
         }
@@ -373,7 +348,7 @@ ServeSocketServer::handleFrame(Connection &conn, const Frame &frame)
       case FrameType::Cancel: {
         BatchHandle handle = 0;
         BatchState state = BatchState::Pending;
-        if (!parseHandleField(frame.payload, handle, error) ||
+        if (!parseRequest(frame.payload, handle, error) ||
             !daemon_.cancel(handle, state, error)) {
             sendFrame(conn, FrameType::Error, error);
             return;
@@ -537,7 +512,7 @@ ServeClient::connect(const std::string &socketPath,
 
 bool
 ServeClient::call(FrameType type, const std::string &payload,
-                  Frame &reply, std::string &error)
+                  FrameType expected, Frame &reply, std::string &error)
 {
     if (fd_ < 0) {
         error = "not connected";
@@ -551,6 +526,11 @@ ServeClient::call(FrameType type, const std::string &payload,
         error = reply.payload;
         return false;
     }
+    if (reply.type != expected) {
+        error = std::string("unexpected reply '") +
+                frameTypeName(reply.type) + "'";
+        return false;
+    }
     return true;
 }
 
@@ -559,13 +539,8 @@ ServeClient::submit(const std::string &payload,
                     std::string &handleHex, std::string &error)
 {
     Frame reply;
-    if (!call(FrameType::Submit, payload, reply, error))
+    if (!call(FrameType::Submit, payload, FrameType::SubmitOk, reply, error))
         return false;
-    if (reply.type != FrameType::SubmitOk) {
-        error = std::string("unexpected reply '") +
-                frameTypeName(reply.type) + "'";
-        return false;
-    }
     KvConfig kv = KvConfig::fromString(reply.payload, "<reply>");
     handleHex = kv.getString("batch");
     if (handleHex.empty()) {
@@ -582,13 +557,8 @@ ServeClient::status(const std::string &handleHex, std::string &reply,
     std::string request;
     kvLine(request, "batch", handleHex);
     Frame frame;
-    if (!call(FrameType::Status, request, frame, error))
+    if (!call(FrameType::Status, request, FrameType::StatusOk, frame, error))
         return false;
-    if (frame.type != FrameType::StatusOk) {
-        error = std::string("unexpected reply '") +
-                frameTypeName(frame.type) + "'";
-        return false;
-    }
     reply = frame.payload;
     return true;
 }
@@ -638,13 +608,8 @@ ServeClient::cancel(const std::string &handleHex, std::string &state,
     std::string request;
     kvLine(request, "batch", handleHex);
     Frame frame;
-    if (!call(FrameType::Cancel, request, frame, error))
+    if (!call(FrameType::Cancel, request, FrameType::CancelOk, frame, error))
         return false;
-    if (frame.type != FrameType::CancelOk) {
-        error = std::string("unexpected reply '") +
-                frameTypeName(frame.type) + "'";
-        return false;
-    }
     KvConfig kv = KvConfig::fromString(frame.payload, "<reply>");
     state = kv.getString("state");
     return true;
@@ -654,13 +619,8 @@ bool
 ServeClient::stats(std::string &reply, std::string &error)
 {
     Frame frame;
-    if (!call(FrameType::Stats, "", frame, error))
+    if (!call(FrameType::Stats, "", FrameType::StatsOk, frame, error))
         return false;
-    if (frame.type != FrameType::StatsOk) {
-        error = std::string("unexpected reply '") +
-                frameTypeName(frame.type) + "'";
-        return false;
-    }
     reply = frame.payload;
     return true;
 }
@@ -669,13 +629,8 @@ bool
 ServeClient::shutdown(std::string &error)
 {
     Frame frame;
-    if (!call(FrameType::Shutdown, "", frame, error))
+    if (!call(FrameType::Shutdown, "", FrameType::ShutdownOk, frame, error))
         return false;
-    if (frame.type != FrameType::ShutdownOk) {
-        error = std::string("unexpected reply '") +
-                frameTypeName(frame.type) + "'";
-        return false;
-    }
     return true;
 }
 

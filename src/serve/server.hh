@@ -155,7 +155,7 @@ class ServeClient
 
   private:
     bool call(FrameType type, const std::string &payload,
-              Frame &reply, std::string &error);
+              FrameType expected, Frame &reply, std::string &error);
 
     int fd_ = -1;
 };

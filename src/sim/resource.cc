@@ -24,7 +24,6 @@ BandwidthResource::acquire(Tick now, Bytes bytes)
     Tick service = perRequestLatency_ + bandwidth_.transferTime(bytes);
     Tick end = start + service;
     busyUntil_ = end;
-    bytesServed_ += bytes;
     busyTime_ += service;
     ++requests_;
     return Occupancy{start, end};
@@ -40,7 +39,6 @@ void
 BandwidthResource::reset()
 {
     busyUntil_ = 0;
-    bytesServed_ = 0;
     busyTime_ = 0;
     requests_ = 0;
 }

@@ -58,9 +58,6 @@ class BandwidthResource
     /** Earliest tick a new request could start. */
     Tick nextFree(Tick now) const;
 
-    /** Total bytes granted so far. */
-    Bytes bytesServed() const { return bytesServed_; }
-
     /** Total busy time accumulated so far. */
     Tick busyTime() const { return busyTime_; }
 
@@ -75,7 +72,6 @@ class BandwidthResource
     Bandwidth bandwidth_;
     Tick perRequestLatency_;
     Tick busyUntil_ = 0;
-    Bytes bytesServed_ = 0;
     Tick busyTime_ = 0;
     std::uint64_t requests_ = 0;
 };

@@ -35,25 +35,12 @@ shardPath(const std::string &dir, std::size_t shard)
     return shardDir(dir) + "/s" + hexU64(shard).substr(14);
 }
 
-/** "sXX" (two lowercase hex digits) -> shard index. */
+/** "sXX" (two lowercase hex digits, as shardPath writes) -> shard. */
 bool
-shardIndexFromName(const std::string &name, std::size_t &shard)
+shardIndexFromName(const std::string &name, std::uint64_t &shard)
 {
-    if (name.size() != 3 || name[0] != 's')
-        return false;
-    std::size_t value = 0;
-    for (std::size_t i = 1; i < name.size(); ++i) {
-        char c = name[i];
-        if (c >= '0' && c <= '9')
-            value = value * 16 + static_cast<std::size_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            value =
-                value * 16 + static_cast<std::size_t>(c - 'a' + 10);
-        else
-            return false;
-    }
-    shard = value;
-    return true;
+    return name.size() == 3 && name[0] == 's' &&
+           parseHexU64(std::string(14, '0') + name.substr(1), shard);
 }
 
 struct MetaData
@@ -247,6 +234,35 @@ rewriteSegments(IoEnv &env, const std::string &dir, MetaData &meta,
     return bytesAfter;
 }
 
+/**
+ * The store's one LRU policy, shared by inserts and `store gc`: while
+ * the segments' bytes exceed @p maxBytes (0 = no budget), evict the
+ * non-empty segment with the lowest last-use stamp, the lowest shard
+ * among equal stamps, never @p keep. @p evict removes the segment and
+ * zeroes its bytes; its stamp is cleared here.
+ */
+template <typename BytesOf, typename Evict>
+void
+evictLru(std::uint64_t maxBytes, BytesOf bytesOf, std::uint64_t *lastUse,
+         std::size_t keep, Evict evict)
+{
+    constexpr std::size_t none = ResultStore::shardCount;
+    while (maxBytes > 0) {
+        std::uint64_t total = 0;
+        std::size_t victim = none;
+        for (std::size_t s = 0; s < none; ++s) {
+            total += bytesOf(s);
+            if (s != keep && bytesOf(s) > 0 &&
+                (victim == none || lastUse[s] < lastUse[victim]))
+                victim = s;
+        }
+        if (total <= maxBytes || victim == none)
+            return;
+        evict(victim);
+        lastUse[victim] = 0;
+    }
+}
+
 } // namespace
 
 std::string
@@ -309,7 +325,7 @@ storeSegmentFiles(const std::string &dir, IoEnv &env)
     if (!env.listDir(shardDir(dir), names).ok)
         return files; // no shards directory = empty store
     for (const std::string &name : names) {
-        std::size_t shard = 0;
+        std::uint64_t shard = 0;
         if (shardIndexFromName(name, shard))
             files.emplace_back(shard, shardDir(dir) + "/" + name);
     }
@@ -586,37 +602,20 @@ ResultStore::insert(std::uint64_t key, const ExperimentResult &result)
     ++stats_.stored;
     ++stats_.lifetimeStored;
     touch(shard);
-    enforceBudget(shard);
-}
-
-void
-ResultStore::enforceBudget(std::size_t protectedShard)
-{
-    if (opt_.maxBytes == 0)
-        return;
-    while (totalBytes() > opt_.maxBytes) {
-        // Evict the least-recently-used non-empty segment, never the
-        // one just appended (the budget cannot starve fresh work).
-        std::size_t victim = shardCount;
-        for (std::size_t s = 0; s < shardCount; ++s) {
-            if (s == protectedShard || shards_[s].bytes == 0)
-                continue;
-            if (victim == shardCount ||
-                lastUse_[s] < lastUse_[victim])
-                victim = s;
-        }
-        if (victim == shardCount)
-            return;
-        Shard &sh = shards_[victim];
-        if (sh.log && !sh.log->failed())
-            sh.log.reset(); // a failed shard stays disabled
-        env_->removeFile(shardPath(dir_, victim));
-        ++stats_.evictedSegments;
-        stats_.evictedBytes += sh.bytes;
-        sh.bytes = 0;
-        sh.entries.clear();
-        lastUse_[victim] = 0;
-    }
+    // The budget never evicts the shard just appended to, so it
+    // cannot starve fresh work.
+    evictLru(
+        opt_.maxBytes, [&](std::size_t s) { return shards_[s].bytes; },
+        lastUse_.data(), shard, [&](std::size_t victim) {
+            Shard &evicted = shards_[victim];
+            if (evicted.log && !evicted.log->failed())
+                evicted.log.reset(); // a failed shard stays disabled
+            env_->removeFile(shardPath(dir_, victim));
+            ++stats_.evictedSegments;
+            stats_.evictedBytes += evicted.bytes;
+            evicted.bytes = 0;
+            evicted.entries.clear();
+        });
 }
 
 StorePointCache::StorePointCache(
@@ -712,32 +711,15 @@ gcStore(const std::string &dir, std::uint64_t maxBytes, IoEnv &env)
         env, dir, meta, [](std::uint64_t) { return true; }, gc);
 
     // Pass 2: enforce the byte budget by meta-clock LRU.
-    if (maxBytes > 0) {
-        auto total = [&]() {
-            std::uint64_t t = 0;
-            for (std::uint64_t b : shardBytes)
-                t += b;
-            return t;
-        };
-        while (total() > maxBytes) {
-            std::size_t victim = ResultStore::shardCount;
-            for (std::size_t s = 0; s < ResultStore::shardCount;
-                 ++s) {
-                if (shardBytes[s] == 0)
-                    continue;
-                if (victim == ResultStore::shardCount ||
-                    meta.lastUse[s] < meta.lastUse[victim])
-                    victim = s;
-            }
-            if (victim == ResultStore::shardCount)
-                break;
+    evictLru(
+        maxBytes, [&](std::size_t s) { return shardBytes[s]; },
+        meta.lastUse.data(), ResultStore::shardCount,
+        [&](std::size_t victim) {
             env.removeFile(shardPath(dir, victim));
             ++gc.evictedSegments;
             gc.evictedBytes += shardBytes[victim];
             shardBytes[victim] = 0;
-            meta.lastUse[victim] = 0;
-        }
-    }
+        });
     for (std::uint64_t b : shardBytes)
         gc.bytesAfter += b;
     writeMetaFile(env, dir, meta);

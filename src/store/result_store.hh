@@ -170,7 +170,6 @@ class ResultStore
     void loadShard(std::size_t shard, const std::string &path);
     void touch(std::size_t shard);
     void noteWriteError(std::size_t shard, const IoStatus &st);
-    void enforceBudget(std::size_t protectedShard);
     void persistMeta();
 
     struct Shard

@@ -53,7 +53,9 @@ TEST(HostMemory, PlacementFactorBounded)
         EXPECT_GT(f, 0.0);
         EXPECT_LE(f, 1.0);
     }
-    EXPECT_GT(host.straddledRuns(), 0u);
+    StatMap stats;
+    host.exportStats(stats);
+    EXPECT_GT(stats.at("host.straddled_runs"), 0.0);
 }
 
 TEST(HostMemory, StraddleAddsVariance)

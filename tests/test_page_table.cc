@@ -98,14 +98,16 @@ TEST(PageTable, FaultAndMigrationAccounting)
     pt.recordMigration(true, kib(64));
     pt.recordMigration(false, kib(32));
     EXPECT_EQ(pt.faults(), 2u);
-    EXPECT_EQ(pt.migrationsToDevice(), 1u);
-    EXPECT_EQ(pt.migrationsToHost(), 1u);
-    EXPECT_EQ(pt.bytesToDevice(), kib(64));
-    EXPECT_EQ(pt.bytesToHost(), kib(32));
 
     StatMap stats;
     pt.exportStats(stats);
     EXPECT_DOUBLE_EQ(stats["pt.faults"], 2.0);
+    EXPECT_DOUBLE_EQ(stats["pt.migrations_to_device"], 1.0);
+    EXPECT_DOUBLE_EQ(stats["pt.migrations_to_host"], 1.0);
+    EXPECT_DOUBLE_EQ(stats["pt.bytes_to_device"],
+                     static_cast<double>(kib(64)));
+    EXPECT_DOUBLE_EQ(stats["pt.bytes_to_host"],
+                     static_cast<double>(kib(32)));
 
     pt.resetStats();
     EXPECT_EQ(pt.faults(), 0u);

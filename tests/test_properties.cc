@@ -33,6 +33,15 @@ namespace uvmasync
 namespace
 {
 
+/** The page table's exported `pt.<key>` counter. */
+std::uint64_t
+ptStat(const PageTable &table, const std::string &key)
+{
+    StatMap stats;
+    table.exportStats(stats);
+    return static_cast<std::uint64_t>(stats.at("pt." + key));
+}
+
 // --- Migration engine conservation -----------------------------------
 
 TEST(Conservation, MigratedBytesMatchLinkPayload)
@@ -55,10 +64,10 @@ TEST(Conservation, MigratedBytesMatchLinkPayload)
 
     // The page table's migration accounting and the link's payload
     // accounting must agree byte for byte.
-    EXPECT_EQ(table.bytesToDevice(),
+    EXPECT_EQ(ptStat(table, "bytes_to_device"),
               link.bytesMoved(Direction::HostToDevice));
     // Resident bytes equal what was migrated (no eviction here).
-    EXPECT_EQ(devMem.residentBytes(), table.bytesToDevice());
+    EXPECT_EQ(devMem.residentBytes(), ptStat(table, "bytes_to_device"));
 }
 
 TEST(Conservation, WritebackNeverExceedsResident)
@@ -76,7 +85,7 @@ TEST(Conservation, WritebackNeverExceedsResident)
     engine.writebackDirty(id, seconds(1));
     EXPECT_LE(link.bytesMoved(Direction::DeviceToHost), mib(64));
     EXPECT_EQ(link.bytesMoved(Direction::DeviceToHost),
-              table.bytesToHost());
+              ptStat(table, "bytes_to_host"));
 }
 
 TEST(Conservation, OversubscribedResidencyNeverExceedsCapacity)

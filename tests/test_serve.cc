@@ -44,6 +44,7 @@
 
 #include "common/logging.hh"
 #include "core/parallel_runner.hh"
+#include "io/fsck.hh"
 #include "io/record_log.hh"
 #include "journal/journal.hh"
 #include "journal/json.hh"
@@ -151,6 +152,25 @@ journalRecords(const std::string &journalText)
     for (std::size_t i = 1; i < scan.records.size(); ++i)
         records += scan.records[i].payload + "\n";
     return records;
+}
+
+/**
+ * A fresh daemon state directory holding batch 1 with @p payload
+ * and, when given, @p journal as its journal; returns the batch's
+ * path stem (<state>/batches/0000000000000001).
+ */
+std::string
+batchState(const std::string &state, const std::string &payload,
+           const std::string *journal)
+{
+    removeTree(state);
+    EXPECT_EQ(::mkdir(state.c_str(), 0777), 0);
+    EXPECT_EQ(::mkdir((state + "/batches").c_str(), 0777), 0);
+    std::string base = state + "/batches/" + hexU64(1);
+    writeFile(base + ".kv", payload);
+    if (journal)
+        writeFile(base + ".jsonl", *journal);
+    return base;
 }
 
 /**
@@ -741,6 +761,227 @@ TEST(ServeDaemonTest, Version1BatchJournalIsDegradedAtRecovery)
     EXPECT_TRUE(chunk.lines.empty());
     EXPECT_EQ(readFile(base + ".jsonl"), legacy);
     daemon.stop();
+    removeTree(state);
+}
+
+TEST(ServeDaemonTest, JournalWithoutACompleteLineIsRewrittenAndRuns)
+{
+    // An empty journal, or a torn header, is what a crash between
+    // the journal's open and its header sync leaves. None of its
+    // records can have been served, so the daemon rewrites it from
+    // the payload and runs the batch.
+    std::string reference = referenceJournal(saxpyPayload(), 1);
+    std::string expected = journalRecords(reference);
+    for (const std::string journal : {"", "{\"crc\":\"00"}) {
+        std::string state = tmpDir("headerless_state");
+        std::string base = batchState(state, saxpyPayload(), &journal);
+        ServeOptions opt;
+        opt.stateDir = state;
+        opt.jobs = 2;
+        ServeDaemon daemon(opt);
+        BatchState finalState = BatchState::Pending;
+        ASSERT_TRUE(daemon.waitTerminal(1, finalState));
+        EXPECT_EQ(finalState, BatchState::Done) << "'" << journal << "'";
+        BatchStatus status;
+        std::string error;
+        ASSERT_TRUE(daemon.status(1, status, error)) << error;
+        EXPECT_EQ(status.merged, allTransferModes.size());
+        StreamChunk chunk;
+        ASSERT_TRUE(daemon.stream(1, 0, chunk, error)) << error;
+        EXPECT_EQ(chunk.lines, expected) << "'" << journal << "'";
+        EXPECT_EQ(readFile(base + ".jsonl"), reference);
+        daemon.stop();
+        removeTree(state);
+    }
+}
+
+TEST(ServeDaemonTest, JournalOfAnotherGridIsDegradedAndStreamsNothing)
+{
+    // A CLI journal written for gemv@tiny under a saxpy@tiny payload
+    // is never served as this batch's results.
+    std::string gemv = "batch.workload = gemv\n"
+                       "batch.size = tiny\n"
+                       "batch.runs = 2\n";
+    std::string other = referenceJournal(gemv, 1);
+    std::string state = tmpDir("other_grid_state");
+    std::string base = batchState(state, saxpyPayload(), &other);
+    {
+        ServeOptions opt;
+        opt.stateDir = state;
+        opt.jobs = 2;
+        ServeDaemon daemon(opt);
+        BatchState finalState = BatchState::Pending;
+        ASSERT_TRUE(daemon.waitTerminal(1, finalState));
+        EXPECT_EQ(finalState, BatchState::Degraded);
+        StreamChunk chunk;
+        std::string error;
+        ASSERT_TRUE(daemon.stream(1, 0, chunk, error)) << error;
+        EXPECT_EQ(chunk.records, 0u);
+        EXPECT_TRUE(chunk.lines.empty());
+        EXPECT_EQ(readFile(base + ".jsonl"), other);
+        daemon.stop();
+    }
+
+    // Under the batch's own header, the stream stops at the first
+    // record whose config hash is not its grid point's.
+    std::vector<std::string> lines =
+        splitLines(referenceJournal(saxpyPayload(), 1));
+    std::vector<std::string> otherLines = splitLines(other);
+    std::string mixed = lines[0] + lines[1] + otherLines[2] + lines[3];
+    base = batchState(state, saxpyPayload(), &mixed);
+    ServeOptions opt;
+    opt.stateDir = state;
+    opt.jobs = 2;
+    ServeDaemon daemon(opt);
+    BatchState finalState = BatchState::Pending;
+    ASSERT_TRUE(daemon.waitTerminal(1, finalState));
+    EXPECT_EQ(finalState, BatchState::Degraded);
+    StreamChunk chunk;
+    std::string error;
+    ASSERT_TRUE(daemon.stream(1, 0, chunk, error)) << error;
+    EXPECT_EQ(chunk.records, 1u);
+    EXPECT_EQ(chunk.lines, journalRecords(lines[0] + lines[1]));
+    daemon.stop();
+    removeTree(state);
+}
+
+/** What one reader's policy does with a journal (DESIGN §16.3). */
+enum class Policy
+{
+    Clean,    //!< fsck: no finding; resume: reads it as it is
+    Note,     //!< fsck: a note only (exit 0)
+    Damage,   //!< fsck: damage (exit 1)
+    Refuse,   //!< resume fatals; the daemon parks the batch degraded
+    Truncate, //!< cut back to the good records, then run the rest
+    Rewrite,  //!< created anew from the payload, then run
+};
+
+const char *
+policyName(Policy policy)
+{
+    switch (policy) {
+      case Policy::Clean: return "clean";
+      case Policy::Note: return "note";
+      case Policy::Damage: return "damage";
+      case Policy::Refuse: return "refuse";
+      case Policy::Truncate: return "truncate";
+      case Policy::Rewrite: return "rewrite";
+    }
+    return "?";
+}
+
+/** The worst finding of one fsck walk, as a Policy. */
+Policy
+fsckPolicy(const FsckReport &report)
+{
+    Policy worst = Policy::Clean;
+    for (const FsckFinding &finding : report.findings) {
+        if (finding.severity != FsckSeverity::Note)
+            return Policy::Damage;
+        worst = Policy::Note;
+    }
+    return worst;
+}
+
+TEST(JournalPolicy, FsckResumeAndRecoveryAgreeOnEveryDefect)
+{
+    std::string reference = referenceJournal(saxpyPayload(), 1);
+    std::vector<std::string> lines = splitLines(reference);
+    ASSERT_EQ(lines.size(), 1 + allTransferModes.size());
+    std::string legacy;
+    for (const LogRecord &rec : scanRecordLog(reference).records)
+        legacy += rec.payload + "\n";
+    legacy[legacy.find("\"version\":2") + 10] = '1';
+    std::string garbled = reference;
+    garbled[garbled.find("\"points\"") + 1] = 'q';
+    std::string corrupt = reference;
+    corrupt[corrupt.find("\"status\"", lines[0].size() +
+                                          lines[1].size()) + 1] = 't';
+    std::string outside = lines[1].substr(0, lines[1].size() - 2);
+    std::size_t rec = outside.find("\"rec\":") + 6;
+    outside = outside.substr(rec);
+    outside.replace(0, std::string("{\"point\":0").size(), "{\"point\":9");
+    std::string gemv = "batch.workload = gemv\n"
+                       "batch.size = tiny\n"
+                       "batch.runs = 2\n";
+
+    struct Defect
+    {
+        const char *name;
+        std::string journal;
+        Policy fsckStandalone, fsckBatch, resume, daemon;
+    };
+    const std::vector<Defect> table = {
+        {"empty", "", Policy::Damage, Policy::Note, Policy::Refuse,
+         Policy::Rewrite},
+        {"torn header", "{\"crc\":\"00", Policy::Damage, Policy::Note,
+         Policy::Refuse, Policy::Rewrite},
+        {"version 1", legacy, Policy::Damage, Policy::Damage,
+         Policy::Refuse, Policy::Refuse},
+        {"garbled header", garbled, Policy::Damage, Policy::Damage,
+         Policy::Refuse, Policy::Refuse},
+        {"other campaign", referenceJournal(gemv, 1), Policy::Clean,
+         Policy::Damage, Policy::Refuse, Policy::Refuse},
+        {"corrupt record mid-file", corrupt, Policy::Damage,
+         Policy::Damage, Policy::Refuse, Policy::Refuse},
+        {"index outside the grid",
+         lines[0] + frameRecord(outside) + lines[2], Policy::Damage,
+         Policy::Damage, Policy::Refuse, Policy::Refuse},
+        {"torn tail",
+         lines[0] + lines[1] + lines[2] +
+             lines[3].substr(0, lines[3].size() / 2),
+         Policy::Damage, Policy::Damage, Policy::Truncate,
+         Policy::Truncate},
+    };
+
+    BatchSpec spec;
+    std::string error;
+    ASSERT_TRUE(parseBatchSpec(saxpyPayload(), spec, error)) << error;
+    std::vector<ExperimentPoint> points = batchSpecPoints(spec);
+    std::string state = tmpDir("policy_state");
+    std::string file = tmpDir("policy.jsonl");
+    for (const Defect &defect : table) {
+        SCOPED_TRACE(defect.name);
+
+        writeFile(file, defect.journal);
+        EXPECT_STREQ(policyName(fsckPolicy(fsckPath(file))),
+                     policyName(defect.fsckStandalone));
+
+        Policy resume = Policy::Clean;
+        try {
+            FatalThrowScope guard;
+            RunJournal::resume(file, points);
+            if (readFile(file) != defect.journal)
+                resume = Policy::Truncate;
+        } catch (const FatalError &) {
+            resume = Policy::Refuse;
+        }
+        EXPECT_STREQ(policyName(resume), policyName(defect.resume));
+
+        std::string base =
+            batchState(state, saxpyPayload(), &defect.journal);
+        EXPECT_STREQ(policyName(fsckPolicy(fsckPath(state))),
+                     policyName(defect.fsckBatch));
+
+        ServeOptions opt;
+        opt.stateDir = state;
+        opt.jobs = 2;
+        ServeDaemon daemon(opt);
+        BatchState finalState = BatchState::Pending;
+        ASSERT_TRUE(daemon.waitTerminal(1, finalState));
+        BatchStatus status;
+        ASSERT_TRUE(daemon.status(1, status, error)) << error;
+        std::string after = readFile(base + ".jsonl");
+        Policy recovery = Policy::Clean;
+        if (finalState == BatchState::Degraded && after == defect.journal)
+            recovery = Policy::Refuse;
+        else if (finalState == BatchState::Done && after == reference)
+            recovery =
+                status.restored > 0 ? Policy::Truncate : Policy::Rewrite;
+        EXPECT_STREQ(policyName(recovery), policyName(defect.daemon));
+        daemon.stop();
+    }
+    ::unlink(file.c_str());
     removeTree(state);
 }
 

@@ -31,13 +31,19 @@ class Args
   public:
     Args(int argc, char **argv, int start)
     {
+        // The flags the tools read only for their presence.
+        const std::vector<std::string> bare = {
+            "csv",     "metrics", "pinned", "no-store", "store-readonly",
+            "no-lint", "no-wait", "repair", "paused"};
         for (int i = start; i < argc; ++i) {
             std::string arg = argv[i];
             if (arg.rfind("--", 0) == 0) {
                 std::string key = arg.substr(2);
-                // A following word is the value, and so is a
+                // A bare switch never takes a value. For any other
+                // flag a following word is the value, and so is a
                 // negative number, which the numeric flags refuse.
-                if (i + 1 < argc &&
+                if (std::count(bare.begin(), bare.end(), key) == 0 &&
+                    i + 1 < argc &&
                     (argv[i + 1][0] != '-' ||
                      std::isdigit(static_cast<unsigned char>(
                          argv[i + 1][1]))))
@@ -127,6 +133,19 @@ class Args
     std::map<std::string, std::string> values_;
     std::vector<std::string> positional_;
 };
+
+/** --store DIR, falling back to the UVMASYNC_STORE environment. */
+inline std::string
+storeDirFlag(const Args &args)
+{
+    std::string dir = args.get("store");
+    if (dir.empty()) {
+        const char *env = std::getenv("UVMASYNC_STORE");
+        if (env && *env)
+            dir = env;
+    }
+    return dir;
+}
 
 } // namespace uvmasync
 

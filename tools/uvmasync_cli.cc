@@ -265,19 +265,6 @@ reportJournalHealth(const RunJournal *journal, std::size_t lost)
                  journal->writeError().c_str(), lost);
 }
 
-/** --store DIR, falling back to the UVMASYNC_STORE environment. */
-std::string
-storeDirFlag(const Args &args)
-{
-    std::string dir = args.get("store");
-    if (dir.empty()) {
-        const char *env = std::getenv("UVMASYNC_STORE");
-        if (env && *env)
-            dir = env;
-    }
-    return dir;
-}
-
 /**
  * Resolve --store DIR / UVMASYNC_STORE into an open ResultStore (or
  * null when neither is set, or --no-store). The store is opened —
@@ -929,15 +916,7 @@ cmdFsck(const Args &args)
         return 2;
     FsckOptions opt;
     opt.repair = args.has("repair");
-    // --repair is a bare switch, but the generic parser treats any
-    // following non-dash token as its value; reclaim that token as
-    // the first path so `fsck --repair PATH...` works.
-    std::vector<std::string> paths = args.positional();
-    std::string repairValue = args.get("repair");
-    if (opt.repair && repairValue != "true")
-        paths.insert(paths.begin(), repairValue);
-
-    if (paths.empty()) {
+    if (args.positional().empty()) {
         std::fprintf(stderr,
                      "fsck: at least one PATH is required (a daemon "
                      "state dir, a store dir, or a journal file)\n");
@@ -945,7 +924,7 @@ cmdFsck(const Args &args)
     }
 
     int exitCode = 0;
-    for (const std::string &path : paths) {
+    for (const std::string &path : args.positional()) {
         FsckReport report = fsckPath(path, opt);
         for (const FsckFinding &finding : report.findings)
             std::fprintf(stderr, "fsck: %s\n",
@@ -1024,10 +1003,12 @@ cmdClient(const Args &args)
 
     ServeClient client;
     std::string error;
-    if (!client.connect(socket, error)) {
+    auto failed = [&] {
         std::fprintf(stderr, "client: %s\n", error.c_str());
         return 1;
-    }
+    };
+    if (!client.connect(socket, error))
+        return failed();
 
     if (op == "submit" || op == "run") {
         std::string payload;
@@ -1063,10 +1044,8 @@ cmdClient(const Args &args)
     }
     if (op == "status") {
         std::string reply;
-        if (!client.status(args.get("handle"), reply, error)) {
-            std::fprintf(stderr, "client: %s\n", error.c_str());
-            return 1;
-        }
+        if (!client.status(args.get("handle"), reply, error))
+            return failed();
         std::fwrite(reply.data(), 1, reply.size(), stdout);
         return 0;
     }
@@ -1076,39 +1055,28 @@ cmdClient(const Args &args)
         std::string lines;
         std::string state;
         if (!client.stream(args.get("handle"), from, wait, lines,
-                           state, error)) {
-            std::fprintf(stderr, "client: %s\n", error.c_str());
-            return 1;
-        }
+                           state, error))
+            return failed();
         std::fwrite(lines.data(), 1, lines.size(), stdout);
         std::fprintf(stderr, "state=%s\n", state.c_str());
         return state == "done" || !wait ? 0 : 1;
     }
     if (op == "cancel") {
         std::string state;
-        if (!client.cancel(args.get("handle"), state, error)) {
-            std::fprintf(stderr, "client: %s\n", error.c_str());
-            return 1;
-        }
+        if (!client.cancel(args.get("handle"), state, error))
+            return failed();
         std::printf("state=%s\n", state.c_str());
         return 0;
     }
     if (op == "stats") {
         std::string reply;
-        if (!client.stats(reply, error)) {
-            std::fprintf(stderr, "client: %s\n", error.c_str());
-            return 1;
-        }
+        if (!client.stats(reply, error))
+            return failed();
         std::fwrite(reply.data(), 1, reply.size(), stdout);
         return 0;
     }
-    if (op == "shutdown") {
-        if (!client.shutdown(error)) {
-            std::fprintf(stderr, "client: %s\n", error.c_str());
-            return 1;
-        }
-        return 0;
-    }
+    if (op == "shutdown")
+        return client.shutdown(error) ? 0 : failed();
 
     std::fprintf(stderr,
                  "client: unknown operation '%s' (expected submit, "

@@ -90,14 +90,8 @@ main(int argc, char **argv)
     opt.jobs = args.getUnsigned<unsigned>("jobs", 0);
     if (args.has("config"))
         opt.system = loadSystemConfig(args.get("config"));
-    if (!args.has("no-store")) {
-        opt.storeDir = args.get("store");
-        if (opt.storeDir.empty()) {
-            const char *env = std::getenv("UVMASYNC_STORE");
-            if (env && *env)
-                opt.storeDir = env;
-        }
-    }
+    if (!args.has("no-store"))
+        opt.storeDir = storeDirFlag(args);
     opt.storeMaxBytes = args.getUnsigned("store-max-bytes", 0);
 
     // Construction preflights the state directory, opens the store,
