@@ -304,8 +304,11 @@ if [ "$run_serve" = 1 ]; then
         cmp "$serve_dir/stream$i.jsonl" "$serve_dir/expected.jsonl"
     done
     # Kill -9 the daemon and tear the first batch's journal back to
-    # the header plus two records (a crash mid-campaign); the
-    # restarted daemon must resume it and stream the identical bytes.
+    # the header plus two records (a crash mid-campaign), and leave
+    # the second batch's journal a torn header (a crash between the
+    # journal's open and its header sync). fsck calls that a note,
+    # and the restarted daemon must resume the first, rewrite the
+    # second, and stream the identical bytes for both.
     kill -9 "$serve_pid"
     wait "$serve_pid" 2> /dev/null || true
     # kill -9 leaves the old socket file behind; remove it so the
@@ -316,6 +319,10 @@ if [ "$run_serve" = 1 ]; then
         > "$serve_dir/torn.jsonl"
     mv "$serve_dir/torn.jsonl" \
         "$serve_dir/state/batches/0000000000000001.jsonl"
+    printf '{"crc":"00' \
+        > "$serve_dir/state/batches/0000000000000002.jsonl"
+    ./build/tools/uvmasync fsck "$serve_dir/state" \
+        > "$serve_dir/fsck.out" 2> "$serve_dir/fsck.log"
     ./build/tools/uvmasync-serve --socket "$serve_dir/sock" \
         --state "$serve_dir/state" --jobs 4 \
         --store "$serve_dir/store" >> "$serve_dir/daemon.out" \
@@ -330,6 +337,10 @@ if [ "$run_serve" = 1 ]; then
         --handle 0000000000000001 > "$serve_dir/resumed.jsonl" \
         2> /dev/null
     cmp "$serve_dir/resumed.jsonl" "$serve_dir/expected.jsonl"
+    ./build/tools/uvmasync client stream --socket "$serve_dir/sock" \
+        --handle 0000000000000002 > "$serve_dir/rewritten.jsonl" \
+        2> /dev/null
+    cmp "$serve_dir/rewritten.jsonl" "$serve_dir/expected.jsonl"
     # Warm resubmit: every point of a fresh identical batch comes
     # from the shared store, and the stream still matches.
     ./build/tools/uvmasync client run --socket "$serve_dir/sock" \
