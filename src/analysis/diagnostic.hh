@@ -126,7 +126,6 @@ class DiagnosticEngine
     const std::vector<Diagnostic> &all() const { return diags_; }
     std::vector<Diagnostic> &all() { return diags_; }
     bool empty() const { return diags_.empty(); }
-    std::size_t size() const { return diags_.size(); }
 
     std::size_t count(Severity s) const;
     std::size_t count(DiagId id) const;
@@ -140,8 +139,6 @@ class DiagnosticEngine
 
     /** Merge another engine's findings into this one. */
     void merge(const DiagnosticEngine &other);
-
-    void clear() { diags_.clear(); }
 
   private:
     std::vector<Diagnostic> diags_;

@@ -57,7 +57,6 @@ class KvConfig
     }
 
     bool has(const std::string &key) const;
-    std::size_t size() const { return values_.size(); }
 
     /** All keys, sorted. */
     std::vector<std::string> keys() const;

@@ -118,15 +118,4 @@ inform(const char *fmt, ...)
     va_end(args);
 }
 
-void
-debugLog(const char *fmt, ...)
-{
-    if (globalLevel < LogLevel::Debug)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    emit("debug: ", stderr, fmt, args);
-    va_end(args);
-}
-
 } // namespace uvmasync

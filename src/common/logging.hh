@@ -85,10 +85,6 @@ void warn(const char *fmt, ...)
 void inform(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Debug chatter, only shown at LogLevel::Debug. */
-void debugLog(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
 /**
  * Assert an invariant with a formatted message; compiled in all build
  * types since simulator correctness depends on it.

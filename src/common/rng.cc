@@ -38,12 +38,6 @@ Rng::Rng(std::uint64_t seed)
         s_[0] = 0x9e3779b97f4a7c15ull;
 }
 
-Rng
-Rng::fork()
-{
-    return Rng((*this)() ^ 0xd1b54a32d192ed03ull);
-}
-
 Rng::result_type
 Rng::operator()()
 {

@@ -32,9 +32,6 @@ class Rng
     /** Construct from a single 64-bit seed (expanded via splitmix64). */
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
-    /** Derive a statistically independent child stream. */
-    Rng fork();
-
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type(0); }
 

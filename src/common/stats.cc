@@ -8,74 +8,6 @@
 namespace uvmasync
 {
 
-void
-RunningStat::add(double x)
-{
-    if (n_ == 0) {
-        min_ = x;
-        max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++n_;
-    double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-}
-
-void
-RunningStat::merge(const RunningStat &other)
-{
-    if (other.n_ == 0)
-        return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    double delta = other.mean_ - mean_;
-    std::size_t total = n_ + other.n_;
-    double na = static_cast<double>(n_);
-    double nb = static_cast<double>(other.n_);
-    m2_ += other.m2_ + delta * delta * na * nb / static_cast<double>(total);
-    mean_ += delta * nb / static_cast<double>(total);
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    n_ = total;
-}
-
-double
-RunningStat::min() const
-{
-    return n_ ? min_ : 0.0;
-}
-
-double
-RunningStat::max() const
-{
-    return n_ ? max_ : 0.0;
-}
-
-double
-RunningStat::variance() const
-{
-    if (n_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(n_ - 1);
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-double
-RunningStat::cv() const
-{
-    return mean() != 0.0 ? stddev() / mean() : 0.0;
-}
-
 double
 SampleSet::mean() const
 {
@@ -97,22 +29,6 @@ SampleSet::stddev() const
     for (double s : samples_)
         acc += (s - m) * (s - m);
     return std::sqrt(acc / static_cast<double>(samples_.size() - 1));
-}
-
-double
-SampleSet::min() const
-{
-    if (samples_.empty())
-        return 0.0;
-    return *std::min_element(samples_.begin(), samples_.end());
-}
-
-double
-SampleSet::max() const
-{
-    if (samples_.empty())
-        return 0.0;
-    return *std::max_element(samples_.begin(), samples_.end());
 }
 
 double
@@ -160,63 +76,6 @@ relativeChange(double value, double baseline)
     if (baseline == 0.0)
         return 0.0;
     return (value - baseline) / baseline;
-}
-
-double
-speedup(double value, double baseline)
-{
-    if (value == 0.0)
-        return 0.0;
-    return baseline / value;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0)
-{
-    UVMASYNC_ASSERT(hi > lo && buckets > 0,
-                    "bad histogram range [%f, %f) x %zu", lo, hi, buckets);
-}
-
-void
-Histogram::add(double x)
-{
-    double frac = (x - lo_) / (hi_ - lo_);
-    auto idx = static_cast<std::int64_t>(
-        frac * static_cast<double>(counts_.size()));
-    idx = std::clamp<std::int64_t>(
-        idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
-}
-
-double
-Histogram::bucketLow(std::size_t i) const
-{
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-           static_cast<double>(counts_.size());
-}
-
-double
-Histogram::bucketHigh(std::size_t i) const
-{
-    return bucketLow(i + 1);
-}
-
-std::string
-Histogram::sparkline() const
-{
-    static const char *glyphs[] = {" ", ".", ":", "-", "=", "+", "*", "#"};
-    std::size_t peak = 0;
-    for (std::size_t c : counts_)
-        peak = std::max(peak, c);
-    std::string out;
-    for (std::size_t c : counts_) {
-        std::size_t level = 0;
-        if (peak > 0)
-            level = c * 7 / peak;
-        out += glyphs[level];
-    }
-    return out;
 }
 
 } // namespace uvmasync

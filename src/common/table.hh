@@ -38,9 +38,6 @@ class TextTable
     /** Append a horizontal separator line. */
     void addSeparator();
 
-    std::size_t columnCount() const { return headers_.size(); }
-    std::size_t rowCount() const { return rows_.size(); }
-
     /** Render the table to the stream. */
     void print(std::ostream &os) const;
 

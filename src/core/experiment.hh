@@ -111,8 +111,6 @@ class Experiment
   public:
     explicit Experiment(SystemConfig system = SystemConfig::a100Epyc());
 
-    const SystemConfig &system() const { return system_; }
-
     /** Run one cell; its lint gate prices the job for @p mode. */
     ExperimentResult run(const std::string &workloadName,
                          TransferMode mode,

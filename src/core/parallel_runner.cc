@@ -19,7 +19,6 @@
 
 #include "common/logging.hh"
 #include "common/parse_number.hh"
-#include "common/stable_hash.hh"
 #include "inject/injector.hh"
 #include "sim/watchdog.hh"
 #include "workloads/registry.hh"
@@ -225,43 +224,6 @@ ParallelRunner::ParallelRunner(SystemConfig system, unsigned jobs)
     // Populate the registry on this thread before any worker runs, so
     // workers only ever read it.
     registerAllWorkloads();
-}
-
-std::uint64_t
-ParallelRunner::pointSeed(std::uint64_t baseSeed,
-                          const std::string &workload,
-                          TransferMode mode, std::uint32_t trial)
-{
-    return StableHasher()
-        .u64(baseSeed)
-        .bytes(workload.data(), workload.size())
-        .u64(static_cast<std::uint64_t>(mode))
-        .u64(trial)
-        .hash();
-}
-
-std::vector<ExperimentPoint>
-ParallelRunner::expandGrid(const std::vector<std::string> &workloads,
-                           const std::vector<TransferMode> &modes,
-                           std::uint32_t trials,
-                           const ExperimentOptions &base)
-{
-    std::vector<ExperimentPoint> points;
-    points.reserve(workloads.size() * modes.size() * trials);
-    for (const std::string &workload : workloads) {
-        for (TransferMode mode : modes) {
-            for (std::uint32_t trial = 0; trial < trials; ++trial) {
-                ExperimentPoint point;
-                point.workload = workload;
-                point.mode = mode;
-                point.opts = base;
-                point.opts.baseSeed =
-                    pointSeed(base.baseSeed, workload, mode, trial);
-                points.push_back(std::move(point));
-            }
-        }
-    }
-    return points;
 }
 
 std::vector<std::vector<TransferMode>>
@@ -586,12 +548,6 @@ ParallelRunner::runPoints(const std::vector<ExperimentPoint> &points,
             (batch.metrics.wallMs / 1e3);
     }
     return batch;
-}
-
-std::vector<ExperimentResult>
-ParallelRunner::run(const std::vector<ExperimentPoint> &points)
-{
-    return runPoints(points).results();
 }
 
 } // namespace uvmasync

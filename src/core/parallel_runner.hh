@@ -3,10 +3,11 @@
  * Parallel experiment engine with deterministic replay.
  *
  * A work-stealing thread pool over independent experiment points
- * (workload x mode x trial). Every point runs on its own Device /
- * simulator instance with a counter-derived RNG stream
- * (seed = hash(baseSeed, mode, workload, trial)), so there is no
- * shared mutable state between points and results are merged back in
+ * (one workload x mode cell each). Every point runs on its own
+ * Device / simulator instance and draws only from point-local RNGs,
+ * seeded from its own options (the cell's baseSeed, and per run the
+ * noise stream of (baseSeed, workload, run)), so there is no shared
+ * mutable state between points and results are merged back in
  * submission order: the output of `--jobs N` is byte-identical to
  * the output of `--jobs 1` for any N.
  *
@@ -309,32 +310,6 @@ class ParallelRunner
      */
     BatchResult runPoints(const std::vector<ExperimentPoint> &points,
                           const RunPolicy &policy);
-
-    /** Run a batch; throws on the first failed point. */
-    std::vector<ExperimentResult>
-    run(const std::vector<ExperimentPoint> &points);
-
-    /**
-     * Counter-derived seed of one grid point: a stable (FNV-1a +
-     * splitmix64) hash of (baseSeed, workload, mode, trial). Equal
-     * keys give equal seeds; any differing component gives a
-     * statistically independent stream. Machine-independent.
-     */
-    static std::uint64_t pointSeed(std::uint64_t baseSeed,
-                                   const std::string &workload,
-                                   TransferMode mode,
-                                   std::uint32_t trial);
-
-    /**
-     * Expand a (workloads x modes x trials) grid into points in
-     * canonical submission order (workload-major, then mode, then
-     * trial). Each point's baseSeed is pointSeed(...) of its key, so
-     * trials are independent replicas with no shared RNG state.
-     */
-    static std::vector<ExperimentPoint>
-    expandGrid(const std::vector<std::string> &workloads,
-               const std::vector<TransferMode> &modes,
-               std::uint32_t trials, const ExperimentOptions &base);
 
   private:
     SystemConfig system_;

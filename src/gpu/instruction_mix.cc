@@ -18,24 +18,9 @@ InstrMix::operator+=(const InstrMix &o)
 }
 
 InstrMix
-InstrMix::operator+(const InstrMix &o) const
-{
-    InstrMix out = *this;
-    out += o;
-    return out;
-}
-
-InstrMix
 InstrMix::operator*(double k) const
 {
     return InstrMix{memory * k, fp * k, integer * k, control * k};
-}
-
-double
-InstrMix::controlFraction() const
-{
-    double t = total();
-    return t > 0.0 ? control / t : 0.0;
 }
 
 std::string
@@ -57,39 +42,6 @@ InstrMix::validate() const
                    " is not a finite non-negative number";
     }
     return "";
-}
-
-std::string
-validateMixFractions(const InstrMix &fractions, double tolerance)
-{
-    std::string err = fractions.validate();
-    if (!err.empty())
-        return err;
-    const struct
-    {
-        const char *name;
-        double value;
-    } classes[] = {{"memory", fractions.memory},
-                   {"fp", fractions.fp},
-                   {"integer", fractions.integer},
-                   {"control", fractions.control}};
-    for (const auto &c : classes) {
-        if (c.value > 1.0)
-            return std::string(c.name) + " fraction " +
-                   fmtDouble(c.value, 3) + " exceeds 1";
-    }
-    double sum = fractions.total();
-    if (std::abs(sum - 1.0) > tolerance)
-        return "fractions sum to " + fmtDouble(sum, 6) +
-               ", expected 1";
-    return "";
-}
-
-std::string
-InstrMix::toString() const
-{
-    return "mem=" + fmtCount(memory) + " fp=" + fmtCount(fp) +
-           " int=" + fmtCount(integer) + " ctrl=" + fmtCount(control);
 }
 
 } // namespace uvmasync

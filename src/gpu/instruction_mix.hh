@@ -26,11 +26,7 @@ struct InstrMix
     double total() const { return memory + fp + integer + control; }
 
     InstrMix &operator+=(const InstrMix &o);
-    InstrMix operator+(const InstrMix &o) const;
     InstrMix operator*(double k) const;
-
-    /** Fraction of control instructions in the mix. */
-    double controlFraction() const;
 
     /**
      * Empty string when every class count is finite and >= 0;
@@ -41,16 +37,7 @@ struct InstrMix
      */
     std::string validate() const;
 
-    std::string toString() const;
 };
-
-/**
- * Validate a mix expressed as *fractions of the total* (the Figure 9
- * normalised view): each class in [0, 1] and the four summing to 1
- * within @p tolerance. Empty string when valid.
- */
-std::string validateMixFractions(const InstrMix &fractions,
-                                 double tolerance = 1e-6);
 
 } // namespace uvmasync
 

@@ -156,8 +156,6 @@ class KernelExecutor
   public:
     explicit KernelExecutor(KernelExecConfig cfg);
 
-    const KernelExecConfig &config() const { return cfg_; }
-
     /**
      * Simulate one launch of @p kd starting at @p start.
      */

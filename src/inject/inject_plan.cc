@@ -214,10 +214,4 @@ InjectPlan::fromKv(const KvConfig &kv)
     return plan;
 }
 
-InjectPlan
-InjectPlan::fromFile(const std::string &path)
-{
-    return fromKv(KvConfig::fromFile(path));
-}
-
 } // namespace uvmasync

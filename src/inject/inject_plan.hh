@@ -167,9 +167,6 @@ struct InjectPlan
 
     /** Parse and fatal() on the first issue (CLI loading path). */
     static InjectPlan fromKv(const KvConfig &kv);
-
-    /** Load a plan file; fatal() if unreadable or malformed. */
-    static InjectPlan fromFile(const std::string &path);
 };
 
 /** Every key a plan may contain, sorted (lint did-you-mean source). */

@@ -9,14 +9,6 @@ namespace uvmasync
 {
 
 std::uint64_t
-InjectCounters::totalEvents() const
-{
-    return degradedTransfers + transientFailures + overflowBatches +
-           delayedBatches + backpressureEvents + stormEvictions +
-           slowPageTransfers + jitteredLaunches;
-}
-
-std::uint64_t
 injectSalt(std::uint64_t injectSeed, std::uint64_t pointSeed)
 {
     return StableHasher().u64(injectSeed).u64(pointSeed).hash();

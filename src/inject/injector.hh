@@ -76,9 +76,6 @@ struct InjectCounters
     std::uint64_t slowPageTransfers = 0;
     std::uint64_t jitteredLaunches = 0;
     Tick jitterPs = 0;
-
-    /** Total injected events (for "did anything fire" checks). */
-    std::uint64_t totalEvents() const;
 };
 
 /**
@@ -101,7 +98,6 @@ class Injector
     /** True when the plan can perturb anything. */
     bool enabled() const { return enabled_; }
 
-    const InjectPlan &plan() const { return plan_; }
     const InjectCounters &counters() const { return counters_; }
 
     /**

@@ -240,23 +240,24 @@ checkStoreDir(Ctx &ctx, const std::string &dir)
     ++ctx.report.storesChecked;
     const std::string layer = "store";
 
-    // Meta: surveyStore owns the parse (shared with `store verify`).
-    StoreSurvey survey;
-    bool surveyed = false;
+    // Meta: the store's own reader judges it (shared with `store
+    // verify`); the segments are read once, below.
+    std::string metaError;
+    bool metaRead = false;
+    bool metaOk = false;
     try {
         FatalThrowScope fatalGuard;
-        survey = surveyStore(dir, ctx.env);
-        surveyed = true;
+        metaOk = checkStoreMeta(dir, metaError, ctx.env);
+        metaRead = true;
     } catch (const std::exception &e) {
         addFinding(ctx, FsckSeverity::Fatal, layer, dir, e.what());
     }
     constexpr std::size_t none = static_cast<std::size_t>(-1);
     std::size_t metaFinding = none;
-    if (surveyed && !survey.metaOk) {
+    if (metaRead && !metaOk) {
         metaFinding = addFinding(
             ctx, FsckSeverity::Damage, layer, dir + "/meta.json",
-            survey.metaError.empty() ? "meta.json is unusable"
-                                     : survey.metaError);
+            metaError.empty() ? "meta.json is unusable" : metaError);
     }
 
     // Segments, one finding per file.

@@ -102,9 +102,6 @@ struct FsckReport
     std::size_t repairsApplied = 0;  //!< findings fixed in place
     std::size_t quarantined = 0;     //!< files moved to quarantine/
 
-    /** No findings at all (notes included). */
-    bool clean() const { return findings.empty(); }
-
     /** The documented 0/1/2 contract (see file comment). */
     int exitCode() const;
 };

@@ -40,8 +40,6 @@ struct IoStatus {
     static IoStatus good() { return IoStatus{}; }
     static IoStatus failure(int e) { return IoStatus{false, e}; }
 
-    explicit operator bool() const { return ok; }
-
     /** strerror(err), or "ok" when the operation succeeded. */
     std::string text() const;
 };

@@ -91,8 +91,6 @@ class StreamGenerator
     /** Next element address in the stream. */
     Addr next();
 
-    AccessPattern pattern() const { return pattern_; }
-
   private:
     AccessPattern pattern_;
     Bytes footprint_;

@@ -49,32 +49,14 @@ setCount(const std::string &name, Bytes capacity, Bytes lineBytes,
 
 SetAssocCache::SetAssocCache(std::string name, Bytes capacity,
                              Bytes lineBytes, unsigned ways)
-    : SimObject(std::move(name)), capacity_(capacity),
-      lineBytes_(lineBytes), ways_(ways),
+    : lineBytes_(lineBytes), ways_(ways),
       lineShift_(std::has_single_bit(lineBytes)
                      ? std::countr_zero(lineBytes)
                      : -1),
-      setDiv_(setCount(this->name(), capacity, lineBytes, ways)),
+      setDiv_(setCount(name, capacity, lineBytes, ways)),
       tags_(setDiv_.divisor() * ways_, ~Addr{0}),
       lastUse_(setDiv_.divisor() * ways_, 0)
 {
-}
-
-void
-SetAssocCache::exportStats(StatMap &out) const
-{
-    putStat(out, "load_hits", static_cast<double>(stats_.loadHits));
-    putStat(out, "load_misses", static_cast<double>(stats_.loadMisses));
-    putStat(out, "store_hits", static_cast<double>(stats_.storeHits));
-    putStat(out, "store_misses", static_cast<double>(stats_.storeMisses));
-    putStat(out, "load_miss_rate", stats_.loadMissRate());
-    putStat(out, "store_miss_rate", stats_.storeMissRate());
-}
-
-void
-SetAssocCache::resetStats()
-{
-    stats_.reset();
 }
 
 } // namespace uvmasync

@@ -18,7 +18,6 @@
 
 #include "common/divider.hh"
 #include "common/types.hh"
-#include "sim/sim_object.hh"
 
 namespace uvmasync
 {
@@ -39,8 +38,6 @@ struct CacheStats
 
     /** Store miss rate in [0, 1]; 0 when there were no stores. */
     double storeMissRate() const;
-
-    void reset() { *this = CacheStats{}; }
 };
 
 /**
@@ -48,11 +45,11 @@ struct CacheStats
  * live in two flat set-major arrays; one pass over a set's ways both
  * finds the tag and picks the victim.
  */
-class SetAssocCache : public SimObject
+class SetAssocCache
 {
   public:
     /**
-     * @param name      stat name
+     * @param name      name in geometry errors
      * @param capacity  total bytes (must be a multiple of line * ways)
      * @param lineBytes cache line size
      * @param ways      associativity
@@ -60,7 +57,6 @@ class SetAssocCache : public SimObject
     SetAssocCache(std::string name, Bytes capacity, Bytes lineBytes,
                   unsigned ways);
 
-    Bytes capacity() const { return capacity_; }
     Bytes lineBytes() const { return lineBytes_; }
     unsigned ways() const { return ways_; }
     std::size_t sets() const { return setDiv_.divisor(); }
@@ -73,11 +69,7 @@ class SetAssocCache : public SimObject
 
     const CacheStats &stats() const { return stats_; }
 
-    void exportStats(StatMap &out) const override;
-    void resetStats() override;
-
   private:
-    Bytes capacity_;
     Bytes lineBytes_;
     unsigned ways_;
     /** log2(lineBytes_), or -1 when the line size is not a power of 2. */

@@ -241,11 +241,4 @@ DeviceMemory::exportStats(StatMap &out) const
     putStat(out, "evicted_bytes", static_cast<double>(evictedBytes_));
 }
 
-void
-DeviceMemory::resetStats()
-{
-    evictions_ = 0;
-    evictedBytes_ = 0;
-}
-
 } // namespace uvmasync

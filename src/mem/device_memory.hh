@@ -53,9 +53,7 @@ class DeviceMemory : public SimObject
     DeviceMemory(std::string name, Bytes capacity, Bandwidth bandwidth);
 
     Bytes capacity() const { return capacity_; }
-    Bandwidth bandwidth() const { return bandwidth_; }
     Bytes residentBytes() const { return residentBytes_; }
-    Bytes freeBytes() const { return capacity_ - residentBytes_; }
 
     /** True if @p bytes more would fit without eviction. */
     bool fits(Bytes bytes) const { return residentBytes_ + bytes <= capacity_; }
@@ -103,11 +101,7 @@ class DeviceMemory : public SimObject
     /** Forget all residency (free / reset). */
     void clear();
 
-    std::uint64_t evictions() const { return evictions_; }
-    Bytes evictedBytes() const { return evictedBytes_; }
-
     void exportStats(StatMap &out) const override;
-    void resetStats() override;
 
   private:
     static constexpr std::uint16_t kNilRange = UINT16_MAX;

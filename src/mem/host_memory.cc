@@ -63,11 +63,4 @@ HostMemory::exportStats(StatMap &out) const
     putStat(out, "sampled_runs", static_cast<double>(sampledRuns_));
 }
 
-void
-HostMemory::resetStats()
-{
-    straddledRuns_ = 0;
-    sampledRuns_ = 0;
-}
-
 } // namespace uvmasync

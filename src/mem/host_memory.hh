@@ -61,11 +61,6 @@ class HostMemory : public SimObject
 
     const HostMemoryConfig &config() const { return cfg_; }
 
-    Bytes totalCapacity() const
-    {
-        return cfg_.dimmCount * cfg_.dimmCapacity;
-    }
-
     /**
      * Whether a buffer of @p footprint bytes risks straddling DRAM
      * modules (per-allocation, the dominant buffer decides).
@@ -94,7 +89,6 @@ class HostMemory : public SimObject
     double transferPathFactor(Tick now);
 
     void exportStats(StatMap &out) const override;
-    void resetStats() override;
 
   private:
     HostMemoryConfig cfg_;

@@ -61,17 +61,6 @@ ManagedRange::setDirty(ChunkIndex c, bool d)
     dirty_[c] = d;
 }
 
-ChunkIndex
-ManagedRange::countInState(ChunkState s) const
-{
-    ChunkIndex n = 0;
-    for (ChunkState st : states_) {
-        if (st == s)
-            ++n;
-    }
-    return n;
-}
-
 Bytes
 ManagedRange::residentBytes() const
 {

@@ -61,9 +61,6 @@ class ManagedRange
     bool dirty(ChunkIndex c) const;
     void setDirty(ChunkIndex c, bool d);
 
-    /** Number of chunks currently in the given state. */
-    ChunkIndex countInState(ChunkState s) const;
-
     /** Device-resident bytes right now. */
     Bytes residentBytes() const;
 
@@ -103,10 +100,8 @@ class PageTable : public SimObject
     /** Count a chunk migration in the given direction. */
     void recordMigration(bool toDevice, Bytes bytes);
 
-    std::uint64_t faults() const { return faults_; }
-
     void exportStats(StatMap &out) const override;
-    void resetStats() override;
+    void resetStats();
 
   private:
     std::vector<ManagedRange> ranges_;

@@ -73,11 +73,4 @@ Allocator::exportStats(StatMap &out) const
     putStat(out, "calls", static_cast<double>(calls_));
 }
 
-void
-Allocator::resetStats()
-{
-    calls_ = 0;
-    jobAllocTime_ = 0;
-}
-
 } // namespace uvmasync

@@ -30,8 +30,6 @@ class Allocator : public SimObject
   public:
     Allocator(std::string name, AllocatorConfig cfg);
 
-    const AllocatorConfig &config() const { return cfg_; }
-
     /** Start a new job (context stays initialised). */
     void beginJob();
 
@@ -53,10 +51,7 @@ class Allocator : public SimObject
     /** Allocation+free time accumulated for the current job. */
     Tick jobAllocTime() const { return jobAllocTime_; }
 
-    std::uint64_t calls() const { return calls_; }
-
     void exportStats(StatMap &out) const override;
-    void resetStats() override;
 
   private:
     Tick charge(Tick base, Tick perGiB, Bytes bytes);

@@ -20,12 +20,4 @@ TimeBreakdown::operator*(double k) const
     return TimeBreakdown{allocPs * k, transferPs * k, kernelPs * k};
 }
 
-std::string
-TimeBreakdown::toString() const
-{
-    return "alloc=" + fmtTime(allocPs) + " transfer=" +
-           fmtTime(transferPs) + " kernel=" + fmtTime(kernelPs) +
-           " overall=" + fmtTime(overallPs());
-}
-
 } // namespace uvmasync

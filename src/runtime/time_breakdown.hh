@@ -30,7 +30,6 @@ struct TimeBreakdown
     TimeBreakdown &operator+=(const TimeBreakdown &o);
     TimeBreakdown operator*(double k) const;
 
-    std::string toString() const;
 };
 
 } // namespace uvmasync

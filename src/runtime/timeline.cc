@@ -51,35 +51,6 @@ Timeline::makespan() const
     return latest;
 }
 
-Tick
-Timeline::laneBusy(std::size_t lane) const
-{
-    // Merge overlapping intervals on the lane before summing.
-    std::vector<std::pair<Tick, Tick>> spans;
-    for (const Phase &phase : phases_) {
-        if (phase.lane == lane)
-            spans.emplace_back(phase.start, phase.end);
-    }
-    std::sort(spans.begin(), spans.end());
-    Tick busy = 0;
-    Tick curStart = 0, curEnd = 0;
-    bool open = false;
-    for (const auto &[s, e] : spans) {
-        if (!open || s > curEnd) {
-            if (open)
-                busy += curEnd - curStart;
-            curStart = s;
-            curEnd = e;
-            open = true;
-        } else {
-            curEnd = std::max(curEnd, e);
-        }
-    }
-    if (open)
-        busy += curEnd - curStart;
-    return busy;
-}
-
 void
 exportTimelineToTrace(const Timeline &timeline, Tracer &tracer)
 {

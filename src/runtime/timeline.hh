@@ -40,8 +40,6 @@ struct Phase
     Tick start = 0;
     Tick end = 0;
     std::size_t lane = 0;
-
-    Tick duration() const { return end - start; }
 };
 
 /**
@@ -64,7 +62,6 @@ class Timeline
     void add(PhaseKind kind, std::string label, Tick start, Tick end,
              std::size_t lane);
 
-    std::size_t phaseCount() const { return phases_.size(); }
     const std::vector<Phase> &phases() const { return phases_; }
 
     /** Zero-length phases, in recording order. */
@@ -80,9 +77,6 @@ class Timeline
 
     /** Last phase end (0 when empty). */
     Tick makespan() const;
-
-    /** Sum of phase durations on one lane. */
-    Tick laneBusy(std::size_t lane) const;
 
     /**
      * Render an ASCII Gantt chart: one row per lane, @p width

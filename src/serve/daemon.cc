@@ -408,32 +408,6 @@ ServeDaemon::stats() const
     return out;
 }
 
-std::vector<BatchHandle>
-ServeDaemon::handles() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<BatchHandle> out;
-    out.reserve(batches_.size());
-    for (const auto &entry : batches_)
-        out.push_back(entry.first);
-    return out;
-}
-
-bool
-ServeDaemon::waitTerminal(BatchHandle handle, BatchState &result)
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    auto it = batches_.find(handle);
-    if (it == batches_.end())
-        return false;
-    Batch *batch = it->second.get();
-    cv_.wait(lock, [&] {
-        return stopping_ || batchStateTerminal(batch->state);
-    });
-    result = batch->state;
-    return true;
-}
-
 void
 ServeDaemon::resume()
 {

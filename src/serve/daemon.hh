@@ -275,12 +275,6 @@ class ServeDaemon
 
     ServeStats stats() const;
 
-    /** Handles of every known batch, ascending. */
-    std::vector<BatchHandle> handles() const;
-
-    /** Block until @p handle is terminal; false on unknown handle. */
-    bool waitTerminal(BatchHandle handle, BatchState &result);
-
     /** Open the scheduler gate (after ServeOptions::paused). */
     void resume();
 

@@ -64,8 +64,6 @@ class ServeSocketServer
      */
     void requestStop();
 
-    const std::string &socketPath() const { return socketPath_; }
-
   private:
     struct Connection
     {

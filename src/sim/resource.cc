@@ -29,12 +29,6 @@ BandwidthResource::acquire(Tick now, Bytes bytes)
     return Occupancy{start, end};
 }
 
-Tick
-BandwidthResource::nextFree(Tick now) const
-{
-    return std::max(now, busyUntil_);
-}
-
 void
 BandwidthResource::reset()
 {

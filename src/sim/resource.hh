@@ -45,18 +45,11 @@ class BandwidthResource
     BandwidthResource(std::string name, Bandwidth bandwidth,
                       Tick perRequestLatency = 0);
 
-    const std::string &name() const { return name_; }
-    Bandwidth bandwidth() const { return bandwidth_; }
-    Tick perRequestLatency() const { return perRequestLatency_; }
-
     /**
      * Reserve the resource for a @p bytes transfer requested at
      * @p now. Returns the occupied window.
      */
     Occupancy acquire(Tick now, Bytes bytes);
-
-    /** Earliest tick a new request could start. */
-    Tick nextFree(Tick now) const;
 
     /** Total busy time accumulated so far. */
     Tick busyTime() const { return busyTime_; }

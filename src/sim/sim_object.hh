@@ -1,7 +1,7 @@
 /**
  * @file
- * Base class for named, stat-exporting simulation components, plus the
- * registry the experiment harness uses to dump all statistics.
+ * Base class for named, stat-exporting simulation components, and the
+ * flat StatMap their statistics are exported into.
  */
 
 #ifndef UVMASYNC_SIM_SIM_OBJECT_HH
@@ -19,9 +19,9 @@ namespace uvmasync
 using StatMap = std::map<std::string, double>;
 
 /**
- * Base class for simulator components. Provides a hierarchical name
- * and a virtual stats hook; the experiment harness walks components
- * and aggregates their StatMaps into result records.
+ * Base class for simulator components: a name, and a stats hook that
+ * Device::stats() calls on each component it owns to build a point's
+ * StatMap.
  */
 class SimObject
 {
@@ -39,9 +39,6 @@ class SimObject
      * with the component name ("pcie.bytes_h2d", ...).
      */
     virtual void exportStats(StatMap &out) const = 0;
-
-    /** Clear accumulated statistics between runs. */
-    virtual void resetStats() = 0;
 
   protected:
     /** Helper for exportStats implementations. */

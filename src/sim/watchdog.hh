@@ -112,13 +112,8 @@ class Watchdog
     /** Arm with @p cfg and reset all counters (start of a run). */
     void arm(const WatchdogConfig &cfg);
 
-    const WatchdogConfig &config() const { return cfg_; }
-
     /** Events observed since arm(). */
     std::uint64_t events() const { return events_; }
-
-    /** Current run of events with no simulated-time advance. */
-    std::uint64_t stallRun() const { return stallRun_; }
 
     /**
      * Emit a WatchdogTrip instant into @p tracer when a ceiling

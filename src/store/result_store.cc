@@ -510,24 +510,6 @@ ResultStore::touch(std::size_t shard)
     lastUse_[shard] = ++clock_;
 }
 
-std::uint64_t
-ResultStore::totalBytes() const
-{
-    std::uint64_t total = 0;
-    for (const Shard &sh : shards_)
-        total += sh.bytes;
-    return total;
-}
-
-std::size_t
-ResultStore::recordCount() const
-{
-    std::size_t n = 0;
-    for (const Shard &sh : shards_)
-        n += sh.entries.size();
-    return n;
-}
-
 bool
 ResultStore::lookup(std::uint64_t key, ExperimentResult &out)
 {
@@ -694,6 +676,15 @@ surveyStore(const std::string &dir, IoEnv &env)
         survey.records += seg.entries.size();
     }
     return survey;
+}
+
+bool
+checkStoreMeta(const std::string &dir, std::string &error, IoEnv &env)
+{
+    if (!env.exists(dir))
+        fatal("store: '%s' does not exist", dir.c_str());
+    MetaData meta;
+    return readMeta(env, dir, meta, error);
 }
 
 StoreGcResult

@@ -153,15 +153,7 @@ class ResultStore
     void noteCorrupt() { ++stats_.corruptRecords; }
 
     const StoreStats &stats() const { return stats_; }
-    std::uint64_t fingerprint() const { return fingerprint_; }
     const std::string &dir() const { return dir_; }
-    bool readonly() const { return opt_.readonly; }
-
-    /** Total bytes across segment files right now. */
-    std::uint64_t totalBytes() const;
-
-    /** Intact records currently loaded. */
-    std::size_t recordCount() const;
 
   private:
     ResultStore() = default;
@@ -302,6 +294,13 @@ struct StoreSurvey
  */
 StoreSurvey surveyStore(const std::string &dir,
                         IoEnv &env = realIoEnv());
+
+/**
+ * Whether @p dir's meta.json is usable, reading no segment; on false
+ * @p error says why. Fatal only on a missing directory.
+ */
+bool checkStoreMeta(const std::string &dir, std::string &error,
+                    IoEnv &env = realIoEnv());
 
 /** Outcome of gcStore(). */
 struct StoreGcResult

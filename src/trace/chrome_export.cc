@@ -96,11 +96,4 @@ writeChromeTrace(std::ostream &os,
     os << "\n  ]\n}\n";
 }
 
-void
-writeChromeTrace(std::ostream &os, const Tracer &trace,
-                 const std::string &jobName)
-{
-    writeChromeTrace(os, {ChromeTraceJob{jobName, &trace}});
-}
-
 } // namespace uvmasync

@@ -35,10 +35,6 @@ struct ChromeTraceJob
 void writeChromeTrace(std::ostream &os,
                       const std::vector<ChromeTraceJob> &jobs);
 
-/** Convenience: export a single trace under @p jobName. */
-void writeChromeTrace(std::ostream &os, const Tracer &trace,
-                      const std::string &jobName = "job");
-
 } // namespace uvmasync
 
 #endif // UVMASYNC_TRACE_CHROME_EXPORT_HH

@@ -81,16 +81,6 @@ Tracer::lane(const std::string &name)
     return static_cast<std::uint32_t>(laneNames_.size() - 1);
 }
 
-std::uint32_t
-Tracer::findLane(const std::string &name) const
-{
-    for (std::size_t i = 0; i < laneNames_.size(); ++i) {
-        if (laneNames_[i] == name)
-            return static_cast<std::uint32_t>(i);
-    }
-    return static_cast<std::uint32_t>(laneNames_.size());
-}
-
 void
 Tracer::span(TraceCategory c, TraceName n, std::uint32_t lane,
              Tick start, Tick end, std::uint64_t arg,

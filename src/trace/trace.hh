@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/types.hh"
@@ -160,9 +159,6 @@ class Tracer
     /** Dense id of lane @p name, creating it on first use. */
     std::uint32_t lane(const std::string &name);
 
-    /** Lane id if it exists, laneCount() otherwise. */
-    std::uint32_t findLane(const std::string &name) const;
-
     const std::vector<std::string> &laneNames() const
     {
         return laneNames_;
@@ -184,7 +180,6 @@ class Tracer
                  std::string label = {});
 
     const std::vector<TraceEvent> &events() const { return events_; }
-    std::size_t eventCount() const { return events_.size(); }
     bool empty() const { return events_.empty(); }
 
     /** Latest end tick across all events (0 when empty). */
@@ -198,33 +193,6 @@ class Tracer
     std::vector<std::string> laneNames_;
     std::uint32_t filter_ = traceAllCategories;
 };
-
-/**
- * Compile-time no-op sink with the Tracer recording interface, for
- * contexts that select their sink statically (templated drivers,
- * benches). Every member is constexpr and the type is empty, so an
- * instrumented call site instantiated with NullTraceSink folds to
- * nothing — see test_trace.cc's static_asserts.
- */
-struct NullTraceSink
-{
-    static constexpr bool enabled(TraceCategory) { return false; }
-
-    static constexpr void
-    span(TraceCategory, TraceName, std::uint32_t, Tick, Tick,
-         std::uint64_t = 0, std::uint64_t = 0)
-    {
-    }
-
-    static constexpr void
-    instant(TraceCategory, TraceName, std::uint32_t, Tick,
-            std::uint64_t = 0)
-    {
-    }
-};
-
-static_assert(std::is_empty_v<NullTraceSink>,
-              "the no-op sink must carry no state");
 
 } // namespace uvmasync
 

@@ -101,10 +101,4 @@ FaultHandler::exportStats(StatMap &out) const
     putStat(out, "mean_batch_size", meanBatchSize());
 }
 
-void
-FaultHandler::resetStats()
-{
-    reset();
-}
-
 } // namespace uvmasync

@@ -51,16 +51,11 @@ class FaultHandler : public SimObject
   public:
     FaultHandler(std::string name, FaultHandlerConfig cfg);
 
-    const FaultHandlerConfig &config() const { return cfg_; }
-
     /**
      * Service one fault arriving at @p now.
      * @return tick at which driver processing of this fault is done.
      */
     Tick service(Tick now);
-
-    std::uint64_t faults() const { return faults_; }
-    std::uint64_t batches() const { return batches_; }
 
     /** Mean faults per batch so far (0 when no batch yet). */
     double meanBatchSize() const;
@@ -92,7 +87,6 @@ class FaultHandler : public SimObject
     void setInjector(Injector *inject) { inject_ = inject; }
 
     void exportStats(StatMap &out) const override;
-    void resetStats() override;
 
   private:
     void closeBatchTrace();

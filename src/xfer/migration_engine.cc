@@ -390,26 +390,6 @@ MigrationEngine::writebackDirty(std::size_t rangeId, Tick now)
     return occ.end;
 }
 
-Tick
-MigrationEngine::rangeReadyAt(std::size_t rangeId) const
-{
-    UVMASYNC_ASSERT(rangeId < rangeState_.size(),
-                    "query on unknown range %zu", rangeId);
-    Tick latest = 0;
-    for (Tick t : rangeState_[rangeId].readyAt) {
-        if (t == maxTick)
-            return maxTick;
-        latest = std::max(latest, t);
-    }
-    return latest;
-}
-
-bool
-MigrationEngine::rangeFullyResident(std::size_t rangeId) const
-{
-    return rangeReadyAt(rangeId) != maxTick;
-}
-
 bool
 MigrationEngine::allRangesResident() const
 {
@@ -440,15 +420,6 @@ MigrationEngine::exportStats(StatMap &out) const
             static_cast<double>(unusedPrefetches()));
     faultHandler_.exportStats(out);
     prefetcher_.exportStats(out);
-}
-
-void
-MigrationEngine::resetStats()
-{
-    jobTransferBusy_ = 0;
-    jobFaults_ = 0;
-    faultHandler_.resetStats();
-    prefetcher_.resetStats();
 }
 
 } // namespace uvmasync

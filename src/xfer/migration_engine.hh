@@ -151,12 +151,6 @@ class MigrationEngine : public SimObject
      */
     Tick writebackDirty(std::size_t rangeId, Tick now);
 
-    /** Earliest tick at which every chunk of the range is usable. */
-    Tick rangeReadyAt(std::size_t rangeId) const;
-
-    /** True once every chunk of the range is device-resident. */
-    bool rangeFullyResident(std::size_t rangeId) const;
-
     /**
      * O(ranges) check that every registered range is fully resident
      * (steady state of iterative kernels; lets the executor skip
@@ -213,7 +207,6 @@ class MigrationEngine : public SimObject
     const Prefetcher &prefetcher() const { return prefetcher_; }
 
     void exportStats(StatMap &out) const override;
-    void resetStats() override;
 
   private:
     /** Per-chunk engine-side tracking parallel to ManagedRange. */

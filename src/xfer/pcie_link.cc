@@ -89,30 +89,10 @@ PcieLink::transfer(Tick now, Bytes bytes, Direction dir,
     return occ;
 }
 
-Tick
-PcieLink::nextFree(Tick now, Direction dir) const
-{
-    return dir == Direction::HostToDevice ? h2d_.nextFree(now)
-                                          : d2h_.nextFree(now);
-}
-
 Bytes
 PcieLink::bytesMoved(Direction dir) const
 {
     return dir == Direction::HostToDevice ? payloadH2d_ : payloadD2h_;
-}
-
-Bytes
-PcieLink::bytesByKind(TransferKind kind) const
-{
-    return kindBytes_[static_cast<std::size_t>(kind)];
-}
-
-Tick
-PcieLink::busyTime(Direction dir) const
-{
-    return dir == Direction::HostToDevice ? h2d_.busyTime()
-                                          : d2h_.busyTime();
 }
 
 void
@@ -138,12 +118,6 @@ PcieLink::exportStats(StatMap &out) const
                     transferKindName(static_cast<TransferKind>(k)),
                 static_cast<double>(kindBytes_[k]));
     }
-}
-
-void
-PcieLink::resetStats()
-{
-    reset();
 }
 
 } // namespace uvmasync

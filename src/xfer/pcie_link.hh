@@ -91,8 +91,6 @@ class PcieLink : public SimObject
   public:
     PcieLink(std::string name, PcieConfig cfg);
 
-    const PcieConfig &config() const { return cfg_; }
-
     /**
      * Reserve the link for a transfer of @p bytes issued at @p now.
      *
@@ -103,17 +101,8 @@ class PcieLink : public SimObject
     Occupancy transfer(Tick now, Bytes bytes, Direction dir,
                        TransferKind kind, double hostFactor = 1.0);
 
-    /** Earliest tick a new transfer in @p dir could start. */
-    Tick nextFree(Tick now, Direction dir) const;
-
     /** Total bytes moved in @p dir (payload, not efficiency-scaled). */
     Bytes bytesMoved(Direction dir) const;
-
-    /** Payload bytes moved with the given kind. */
-    Bytes bytesByKind(TransferKind kind) const;
-
-    /** Total link busy time in @p dir. */
-    Tick busyTime(Direction dir) const;
 
     /** Drop the timeline and statistics (new run). */
     void reset();
@@ -156,7 +145,6 @@ class PcieLink : public SimObject
     void setWatchdog(Watchdog *watchdog) { watchdog_ = watchdog; }
 
     void exportStats(StatMap &out) const override;
-    void resetStats() override;
 
   private:
     PcieConfig cfg_;

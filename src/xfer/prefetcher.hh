@@ -108,15 +108,13 @@ class Prefetcher : public SimObject
             treeDistance(rangeId) = treeMinDistance;
     }
 
-    std::uint64_t issued() const { return issued_; }
-
     /** Fraction of judged prefetches confirmed useful. */
     double accuracy() const;
 
     void exportStats(StatMap &out) const override;
 
     /** Clear the counters and the per-range Tree state (new run). */
-    void resetStats() override;
+    void resetStats();
 
   private:
     static constexpr std::uint32_t streamDistance = 8;

@@ -71,15 +71,6 @@ TEST(Cache, TouchRefreshesLru)
     EXPECT_FALSE(c.access(1 * stride, false));
 }
 
-TEST(Cache, ResetStatsKeepsContents)
-{
-    SetAssocCache c = smallCache();
-    c.access(0x100, false);
-    c.resetStats();
-    EXPECT_EQ(c.stats().loads(), 0u);
-    EXPECT_TRUE(c.access(0x100, false));
-}
-
 TEST(Cache, SequentialStreamMissRateIsElementOverLine)
 {
     SetAssocCache c("l1", kib(64), 32, 4);

@@ -30,7 +30,7 @@ TEST(KvConfig, ParsesKeysAndSections)
         "\n"
         "[pcie]\n"
         "raw_gbps = 26\n");
-    EXPECT_EQ(kv.size(), 4u);
+    EXPECT_EQ(kv.keys().size(), 4u);
     EXPECT_EQ(kv.getInt("top", 0), 1);
     EXPECT_EQ(kv.getInt("gpu.sm_count", 0), 108);
     EXPECT_DOUBLE_EQ(kv.getDouble("gpu.clock_mhz", 0), 1410.5);

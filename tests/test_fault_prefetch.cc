@@ -7,6 +7,7 @@
 
 #include "xfer/fault_handler.hh"
 #include "xfer/prefetcher.hh"
+#include "stat_of.hh"
 
 namespace uvmasync
 {
@@ -29,8 +30,8 @@ TEST(FaultHandler, SingleFaultPaysBasePlusOne)
     FaultHandler h("fh", cfg());
     Tick done = h.service(0);
     EXPECT_EQ(done, microseconds(21));
-    EXPECT_EQ(h.faults(), 1u);
-    EXPECT_EQ(h.batches(), 1u);
+    EXPECT_EQ(statOf(h, "faults"), 1u);
+    EXPECT_EQ(statOf(h, "batches"), 1u);
 }
 
 TEST(FaultHandler, SimultaneousFaultsShareBatch)
@@ -39,7 +40,7 @@ TEST(FaultHandler, SimultaneousFaultsShareBatch)
     Tick d1 = h.service(0);
     Tick d2 = h.service(0);
     Tick d3 = h.service(0);
-    EXPECT_EQ(h.batches(), 1u);
+    EXPECT_EQ(statOf(h, "batches"), 1u);
     // Later joiners resolve later (per-fault marginal cost).
     EXPECT_LT(d1, d2);
     EXPECT_LT(d2, d3);
@@ -52,7 +53,7 @@ TEST(FaultHandler, BatchSizeCapOpensNewBatch)
     for (int i = 0; i < 4; ++i)
         h.service(0);
     h.service(0); // fifth: cap is 4
-    EXPECT_EQ(h.batches(), 2u);
+    EXPECT_EQ(statOf(h, "batches"), 2u);
 }
 
 TEST(FaultHandler, WindowExpiryOpensNewBatch)
@@ -60,7 +61,7 @@ TEST(FaultHandler, WindowExpiryOpensNewBatch)
     FaultHandler h("fh", cfg());
     h.service(0);
     h.service(microseconds(11)); // outside 10 us window
-    EXPECT_EQ(h.batches(), 2u);
+    EXPECT_EQ(statOf(h, "batches"), 2u);
 }
 
 TEST(FaultHandler, BatchesSerializeOnHandler)
@@ -78,7 +79,7 @@ TEST(FaultHandler, ResetClearsTimeline)
     FaultHandler h("fh", cfg());
     h.service(0);
     h.reset();
-    EXPECT_EQ(h.faults(), 0u);
+    EXPECT_EQ(statOf(h, "faults"), 0u);
     EXPECT_EQ(h.service(0), microseconds(21));
 }
 
@@ -96,7 +97,7 @@ TEST(Prefetcher, NoneNeverPredicts)
 {
     Prefetcher p("none", PrefetcherKind::None);
     EXPECT_TRUE(miss(p, 0, 5, 100).empty());
-    EXPECT_EQ(p.issued(), 0u);
+    EXPECT_EQ(statOf(p, "issued"), 0u);
 }
 
 TEST(Prefetcher, StreamPredictsNextN)
@@ -106,7 +107,7 @@ TEST(Prefetcher, StreamPredictsNextN)
     ASSERT_EQ(preds.size(), 8u);
     EXPECT_EQ(preds[0].chunkIndex, 11u);
     EXPECT_EQ(preds[7].chunkIndex, 18u);
-    EXPECT_EQ(p.issued(), 8u);
+    EXPECT_EQ(statOf(p, "issued"), 8u);
 }
 
 TEST(Prefetcher, StreamClampsAtRangeEnd)
@@ -124,7 +125,7 @@ TEST(Prefetcher, AppendKeepsEarlierCandidates)
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].rangeId, 3u);
     EXPECT_EQ(out[1].chunkIndex, 99u);
-    EXPECT_EQ(p.issued(), 1u);
+    EXPECT_EQ(statOf(p, "issued"), 1u);
 }
 
 TEST(Prefetcher, TreeGrowsOnUsefulHits)

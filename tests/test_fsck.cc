@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -34,6 +35,7 @@
 #include "serve/batch_spec.hh"
 #include "serve/daemon.hh"
 #include "store/result_store.hh"
+#include "grid.hh"
 
 namespace uvmasync
 {
@@ -125,7 +127,7 @@ smallGrid(std::uint64_t seed)
     base.baseSeed = seed;
     std::vector<TransferMode> modes(allTransferModes.begin(),
                                     allTransferModes.end());
-    return ParallelRunner::expandGrid({"saxpy"}, modes, 1, base);
+    return expandGrid({"saxpy"}, modes, 1, base);
 }
 
 /** A fully-committed journal in @p dir; returns its path. */
@@ -224,7 +226,7 @@ TEST(FsckJournal, CleanJournalPasses)
         buildJournal(dir, "run.jsonl", grid, grid.size());
 
     FsckReport report = fsckPath(path);
-    EXPECT_TRUE(report.clean()) << fsckFindingLine(report.findings[0]);
+    EXPECT_TRUE(report.findings.empty()) << fsckFindingLine(report.findings[0]);
     EXPECT_EQ(report.exitCode(), 0);
     EXPECT_EQ(report.journalsChecked, 1u);
     EXPECT_EQ(report.recordsChecked, grid.size());
@@ -257,7 +259,7 @@ TEST(FsckJournal, TornTailIsTruncatedBackToBaseline)
     ASSERT_EQ(fixed.findings.size(), 1u);
     EXPECT_TRUE(fixed.findings[0].repaired);
     EXPECT_EQ(readFileOr(path), baseline);
-    EXPECT_TRUE(fsckPath(path).clean());
+    EXPECT_TRUE(fsckPath(path).findings.empty());
 
     // The repaired file is a valid resumable journal again.
     std::unique_ptr<RunJournal> journal =
@@ -294,7 +296,7 @@ TEST(FsckJournal, CorruptRecordTruncatesTheUntrustedSuffix)
     FsckOptions repair;
     repair.repair = true;
     EXPECT_EQ(fsckPath(path, repair).exitCode(), 0);
-    EXPECT_TRUE(fsckPath(path).clean());
+    EXPECT_TRUE(fsckPath(path).findings.empty());
 
     // The clean prefix resumes (one record survived) and a refill
     // lands on the never-damaged bytes.
@@ -388,10 +390,82 @@ TEST(FsckStore, CleanStorePasses)
     std::size_t records = buildStore(dir);
 
     FsckReport report = fsckPath(dir);
-    EXPECT_TRUE(report.clean()) << fsckFindingLine(report.findings[0]);
+    EXPECT_TRUE(report.findings.empty()) << fsckFindingLine(report.findings[0]);
     EXPECT_EQ(report.exitCode(), 0);
     EXPECT_EQ(report.storesChecked, 1u);
     EXPECT_EQ(report.recordsChecked, records);
+    removeTree(dir);
+}
+
+/** Forwards to the real filesystem, counting reads per path. */
+class ReadCountingEnv : public IoEnv
+{
+  public:
+    std::map<std::string, int> reads;
+
+    std::unique_ptr<IoFile>
+    openTrunc(const std::string &path, IoStatus &st) override
+    {
+        return realIoEnv().openTrunc(path, st);
+    }
+    std::unique_ptr<IoFile>
+    openAppend(const std::string &path, IoStatus &st) override
+    {
+        return realIoEnv().openAppend(path, st);
+    }
+    IoStatus
+    truncateFile(const std::string &path, std::uint64_t size) override
+    {
+        return realIoEnv().truncateFile(path, size);
+    }
+    IoStatus
+    readFile(const std::string &path, std::string &out) override
+    {
+        ++reads[path];
+        return realIoEnv().readFile(path, out);
+    }
+    bool exists(const std::string &path) override
+    {
+        return realIoEnv().exists(path);
+    }
+    IoStatus makeDir(const std::string &path) override
+    {
+        return realIoEnv().makeDir(path);
+    }
+    IoStatus
+    renameFile(const std::string &from, const std::string &to) override
+    {
+        return realIoEnv().renameFile(from, to);
+    }
+    IoStatus removeFile(const std::string &path) override
+    {
+        return realIoEnv().removeFile(path);
+    }
+    IoStatus
+    listDir(const std::string &path,
+            std::vector<std::string> &names) override
+    {
+        return realIoEnv().listDir(path, names);
+    }
+};
+
+TEST(FsckStore, ReadsEachSegmentOnce)
+{
+    std::string dir = tmpPath("store_reads");
+    buildStore(dir);
+
+    ReadCountingEnv env;
+    FsckReport report = fsckPath(dir, {}, env);
+    EXPECT_TRUE(report.findings.empty());
+    std::size_t segments = 0;
+    for (const auto &[path, count] : env.reads) {
+        if (path.find("/shards/") == std::string::npos)
+            continue;
+        ++segments;
+        EXPECT_EQ(count, 1) << path;
+    }
+    EXPECT_EQ(segments, storeSegmentFiles(dir, realIoEnv()).size());
+    EXPECT_GT(segments, 1u);
     removeTree(dir);
 }
 
@@ -429,7 +503,7 @@ TEST(FsckStore, FlippedByteIsQuarantinedThenRewritten)
     StoreSurvey survey = surveyStore(dir);
     EXPECT_TRUE(survey.clean()) << survey.metaError;
     EXPECT_EQ(survey.records, records - 1);
-    EXPECT_TRUE(fsckPath(dir).clean());
+    EXPECT_TRUE(fsckPath(dir).findings.empty());
     removeTree(dir);
 }
 
@@ -451,7 +525,7 @@ TEST(FsckStore, WrongShardHeaderIsQuarantined)
     EXPECT_EQ(fixed.quarantined, 1u);
     EXPECT_FALSE(realIoEnv().exists(path));
     EXPECT_EQ(readFileOr(dir + "/quarantine/s42"), damaged);
-    EXPECT_TRUE(fsckPath(dir).clean());
+    EXPECT_TRUE(fsckPath(dir).findings.empty());
     removeTree(dir);
 }
 
@@ -481,7 +555,7 @@ TEST(FsckServe, CleanStateDirPasses)
     }
 
     FsckReport report = fsckPath(dir);
-    EXPECT_TRUE(report.clean()) << fsckFindingLine(report.findings[0]);
+    EXPECT_TRUE(report.findings.empty()) << fsckFindingLine(report.findings[0]);
     EXPECT_EQ(report.exitCode(), 0);
     EXPECT_EQ(report.batchesChecked, 2u);
     EXPECT_EQ(report.journalsChecked, 1u);
@@ -510,7 +584,7 @@ TEST(FsckServe, OrphanedBatchFilesAreQuarantined)
     EXPECT_FALSE(realIoEnv().exists(orphan));
     EXPECT_TRUE(realIoEnv().exists(
         dir + "/quarantine/00000000000000ff.jsonl"));
-    EXPECT_TRUE(fsckPath(dir).clean());
+    EXPECT_TRUE(fsckPath(dir).findings.empty());
     removeTree(dir);
 }
 
@@ -536,7 +610,7 @@ TEST(FsckServe, UnparseablePayloadQuarantinesItsCompanions)
     EXPECT_EQ(fixed.quarantined, 2u) << "payload and marker";
     EXPECT_FALSE(realIoEnv().exists(stem + ".kv"));
     EXPECT_FALSE(realIoEnv().exists(stem + ".cancelled"));
-    EXPECT_TRUE(fsckPath(dir).clean());
+    EXPECT_TRUE(fsckPath(dir).findings.empty());
     removeTree(dir);
 }
 
@@ -564,7 +638,7 @@ TEST(FsckServe, JournalOfAnotherGridIsACampaignMismatch)
     repair.repair = true;
     EXPECT_EQ(fsckPath(dir, repair).exitCode(), 0);
     EXPECT_FALSE(realIoEnv().exists(journalPath));
-    EXPECT_TRUE(fsckPath(dir).clean());
+    EXPECT_TRUE(fsckPath(dir).findings.empty());
     removeTree(dir);
 }
 

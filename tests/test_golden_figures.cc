@@ -37,6 +37,7 @@
 #include "store/fingerprint.hh"
 #include "store/result_store.hh"
 #include "workloads/registry.hh"
+#include "grid.hh"
 
 namespace uvmasync
 {
@@ -126,7 +127,7 @@ pointsCsv(const std::vector<ExperimentPoint> &points,
           std::vector<ExperimentResult> *keep = nullptr)
 {
     ParallelRunner runner(SystemConfig::a100Epyc());
-    std::vector<ExperimentResult> results = runner.run(points);
+    std::vector<ExperimentResult> results = runner.runPoints(points).results();
     std::string csv = resultsCsv(results);
     if (keep)
         *keep = std::move(results);
@@ -139,7 +140,7 @@ goldenGrid(const std::vector<std::string> &workloads, SizeClass size)
 {
     std::vector<TransferMode> modes(allTransferModes.begin(),
                                     allTransferModes.end());
-    std::vector<ExperimentPoint> points = ParallelRunner::expandGrid(
+    std::vector<ExperimentPoint> points = expandGrid(
         workloads, modes, 1, goldenOpts(size));
     // expandGrid derives per-trial seeds; the golden pipelines pin
     // the cell seed itself so the CSV matches a plain fixed-seed run.

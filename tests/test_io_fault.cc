@@ -39,6 +39,7 @@
 #include "serve/daemon.hh"
 #include "store/result_store.hh"
 #include "workloads/registry.hh"
+#include "grid.hh"
 
 namespace uvmasync
 {
@@ -130,7 +131,7 @@ journalGrid()
     base.baseSeed = 42;
     std::vector<TransferMode> modes(allTransferModes.begin(),
                                     allTransferModes.end());
-    return ParallelRunner::expandGrid({"saxpy", "vector_seq"}, modes,
+    return expandGrid({"saxpy", "vector_seq"}, modes,
                                       3, base);
 }
 
@@ -375,7 +376,10 @@ verifyDaemonRecovery(const std::string &stateDir, const DaemonRun &run)
     }
     // Survivors of failed submits may be parked, but never crash the
     // daemon and never reach a runnable state with torn bytes.
-    for (BatchHandle handle : daemon->handles()) {
+    BatchListing listing;
+    ASSERT_TRUE(
+        listBatchFiles(realIoEnv(), stateDir + "/batches", listing).ok);
+    for (const auto &[handle, files] : listing.batches) {
         BatchStatus status;
         std::string error;
         ASSERT_TRUE(daemon->status(handle, status, error));
@@ -618,7 +622,7 @@ TEST(IoFaultStore, WriteErrorDisablesShardWithoutCorruption)
         EXPECT_EQ(store->stats().writeErrors, 2u);
         ExperimentResult out;
         EXPECT_TRUE(store->lookup(0x01, out)) << "reads must survive";
-        EXPECT_EQ(store->recordCount(), 1u);
+        EXPECT_EQ(surveyStore(dir).records, 1u);
     }
 
     // No tail corruption: the surviving bytes are exactly session 1's.
@@ -702,7 +706,7 @@ TEST(IoFaultBatch, JournalFaultRecoversByteIdenticalAcrossJobs)
     std::vector<TransferMode> modes(allTransferModes.begin(),
                                     allTransferModes.end());
     std::vector<ExperimentPoint> grid =
-        ParallelRunner::expandGrid({"saxpy"}, modes, 1, base);
+        expandGrid({"saxpy"}, modes, 1, base);
 
     // Uninterrupted serial reference.
     std::string refPath = tmpPath("batch_ref.jsonl");

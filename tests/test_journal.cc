@@ -25,6 +25,7 @@
 #include "io/record_log.hh"
 #include "journal/journal.hh"
 #include "journal/json.hh"
+#include "grid.hh"
 
 namespace uvmasync
 {
@@ -92,7 +93,7 @@ smallGrid()
     base.baseSeed = 42;
     std::vector<TransferMode> modes(allTransferModes.begin(),
                                     allTransferModes.end());
-    return ParallelRunner::expandGrid({"saxpy", "vector_seq"}, modes,
+    return expandGrid({"saxpy", "vector_seq"}, modes,
                                       1, base);
 }
 

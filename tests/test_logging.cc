@@ -50,7 +50,6 @@ TEST(Logging, WarnSuppressedWhenSilent)
     setLogLevel(LogLevel::Silent);
     warn("this warning is suppressed %d", 1);
     inform("this info is suppressed");
-    debugLog("this debug line is suppressed");
     setLogLevel(before);
 }
 

@@ -16,6 +16,7 @@
 #include "mem/access_pattern.hh"
 #include "mem/device_memory.hh"
 #include "mem/host_memory.hh"
+#include "stat_of.hh"
 
 namespace uvmasync
 {
@@ -27,7 +28,8 @@ namespace
 TEST(HostMemory, CapacityFromConfig)
 {
     HostMemory host("host", HostMemoryConfig{});
-    EXPECT_EQ(host.totalCapacity(), gib(1024)); // 16 x 64 GB
+    EXPECT_EQ(host.config().dimmCount * host.config().dimmCapacity,
+              gib(1024)); // 16 x 64 GB
 }
 
 TEST(HostMemory, SmallFootprintsDoNotStraddle)
@@ -85,8 +87,9 @@ TEST(DeviceMemory, InsertAndAccounting)
 {
     DeviceMemory dev("hbm", mib(1), Bandwidth::fromGBps(1400.0));
     dev.insert(ResidentChunk{0, 0, kib(256)});
-    EXPECT_EQ(dev.residentBytes(), kib(256));
-    EXPECT_EQ(dev.freeBytes(), mib(1) - kib(256));
+    EXPECT_EQ(statOf(dev, "resident_bytes"), kib(256));
+    EXPECT_EQ(dev.capacity() - statOf(dev, "resident_bytes"),
+              mib(1) - kib(256));
     EXPECT_TRUE(dev.fits(kib(768)));
     EXPECT_FALSE(dev.fits(kib(769)));
 }
@@ -99,8 +102,8 @@ TEST(DeviceMemory, EvictsLeastRecentlyUsed)
     dev.touch(0, 0); // chunk 0 becomes most recent
     ResidentChunk victim = dev.evictVictim();
     EXPECT_EQ(victim.chunkIndex, 1u);
-    EXPECT_EQ(dev.residentBytes(), kib(256));
-    EXPECT_EQ(dev.evictions(), 1u);
+    EXPECT_EQ(statOf(dev, "resident_bytes"), kib(256));
+    EXPECT_EQ(statOf(dev, "evictions"), 1u);
 }
 
 TEST(DeviceMemory, LruTrackingToggle)
@@ -109,9 +112,9 @@ TEST(DeviceMemory, LruTrackingToggle)
     dev.setLruTracking(false);
     dev.insert(ResidentChunk{0, 0, kib(64)});
     dev.touch(0, 0); // no-op, must not crash
-    EXPECT_EQ(dev.residentBytes(), kib(64));
+    EXPECT_EQ(statOf(dev, "resident_bytes"), kib(64));
     dev.clear();
-    EXPECT_EQ(dev.residentBytes(), 0u);
+    EXPECT_EQ(statOf(dev, "resident_bytes"), 0u);
 }
 
 TEST(DeviceMemoryDeathTest, OversubscribingInsertPanics)
@@ -243,11 +246,11 @@ runLruOracle(std::uint64_t seed)
     std::set<std::pair<std::size_t, std::uint64_t>> resident;
 
     auto sameState = [&](int step) {
-        EXPECT_EQ(dev.residentBytes(), ref.residentBytes())
+        EXPECT_EQ(statOf(dev, "resident_bytes"), ref.residentBytes())
             << "seed " << seed << " step " << step;
-        EXPECT_EQ(dev.evictions(), ref.evictions())
+        EXPECT_EQ(statOf(dev, "evictions"), ref.evictions())
             << "seed " << seed << " step " << step;
-        EXPECT_EQ(dev.evictedBytes(), ref.evictedBytes())
+        EXPECT_EQ(statOf(dev, "evicted_bytes"), ref.evictedBytes())
             << "seed " << seed << " step " << step;
     };
     auto evictBoth = [&](int step) {

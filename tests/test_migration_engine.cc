@@ -10,6 +10,7 @@
 #include "mem/page_table.hh"
 #include "xfer/migration_engine.hh"
 #include "xfer/pcie_link.hh"
+#include "stat_of.hh"
 
 namespace uvmasync
 {
@@ -82,7 +83,7 @@ TEST_F(EngineFixture, PrefetchRangeMovesEverythingOnce)
     std::size_t id = addRange(mib(1));
     Occupancy occ = engine.prefetchRange(id, 0);
     EXPECT_GT(occ.duration(), 0u);
-    EXPECT_TRUE(engine.rangeFullyResident(id));
+    EXPECT_TRUE(engine.allRangesResident());
     EXPECT_EQ(engine.jobFaults(), 0u);
 
     // Demanding after prefetch raises no fault.
@@ -115,10 +116,10 @@ TEST_F(EngineFixture, PopulateOnDeviceIsFree)
 {
     std::size_t id = addRange(mib(1));
     engine.populateOnDevice(id);
-    EXPECT_TRUE(engine.rangeFullyResident(id));
+    EXPECT_TRUE(engine.allRangesResident());
     EXPECT_EQ(engine.jobTransferBusy(), 0u);
     EXPECT_EQ(engine.jobFaults(), 0u);
-    EXPECT_EQ(devMem.residentBytes(), mib(1));
+    EXPECT_EQ(statOf(devMem, "resident_bytes"), mib(1));
 }
 
 TEST_F(EngineFixture, WritebackMovesOnlyDirty)
@@ -162,7 +163,7 @@ TEST_F(EngineFixture, BeginJobResetsResidency)
     std::size_t id = addRange(mib(1));
     engine.prefetchRange(id, 0);
     engine.beginJob();
-    EXPECT_FALSE(engine.rangeFullyResident(id));
+    EXPECT_FALSE(engine.allRangesResident());
     EXPECT_EQ(engine.jobTransferBusy(), 0u);
 }
 
@@ -183,8 +184,8 @@ TEST(MigrationEngineOversub, EvictsWhenDeviceFull)
     for (std::uint64_t c = 0; c < 8; ++c)
         t = engine.requestChunk(id, c, t);
 
-    EXPECT_GT(devMem.evictions(), 0u);
-    EXPECT_LE(devMem.residentBytes(), kib(256));
+    EXPECT_GT(statOf(devMem, "evictions"), 0u);
+    EXPECT_LE(statOf(devMem, "resident_bytes"), kib(256));
     // Early chunks were evicted; re-demand faults again.
     std::uint64_t faults = engine.jobFaults();
     engine.requestChunk(id, 0, t);

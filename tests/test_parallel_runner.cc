@@ -30,6 +30,7 @@
 #include "workloads/job_loader.hh"
 #include "workloads/lambda_workload.hh"
 #include "workloads/registry.hh"
+#include "grid.hh"
 
 namespace uvmasync
 {
@@ -92,7 +93,7 @@ referenceGrid()
     base.baseSeed = 42;
     std::vector<TransferMode> modes(allTransferModes.begin(),
                                     allTransferModes.end());
-    return ParallelRunner::expandGrid(
+    return expandGrid(
         {"vector_seq", "saxpy", "gemv", "2DCONV"}, modes, 8, base);
 }
 
@@ -103,12 +104,12 @@ TEST(ParallelRunner, GridParallelBitIdenticalToSerial)
 
     ParallelRunner serial(SystemConfig::a100Epyc(), 1);
     std::vector<std::string> reference =
-        fingerprintAll(serial.run(grid));
+        fingerprintAll(serial.runPoints(grid).results());
 
     for (unsigned jobs : {2u, 8u}) {
         ParallelRunner parallel(SystemConfig::a100Epyc(), jobs);
         std::vector<std::string> got =
-            fingerprintAll(parallel.run(grid));
+            fingerprintAll(parallel.runPoints(grid).results());
         ASSERT_EQ(got.size(), reference.size()) << "jobs=" << jobs;
         for (std::size_t i = 0; i < reference.size(); ++i)
             EXPECT_EQ(got[i], reference[i])
@@ -122,8 +123,8 @@ TEST(ParallelRunner, RepeatedParallelRunsAreStable)
     // runs of the same batch are bit-identical to each other.
     std::vector<ExperimentPoint> grid = referenceGrid();
     ParallelRunner runner(SystemConfig::a100Epyc(), 8);
-    EXPECT_EQ(fingerprintAll(runner.run(grid)),
-              fingerprintAll(runner.run(grid)));
+    EXPECT_EQ(fingerprintAll(runner.runPoints(grid).results()),
+              fingerprintAll(runner.runPoints(grid).results()));
 }
 
 TEST(ParallelRunner, ExceptionInOnePointDoesNotPoisonBatch)
@@ -182,7 +183,7 @@ TEST(ParallelRunner, MoreJobsThanPoints)
     // Workers are clamped to the point count.
     EXPECT_EQ(batch.metrics.jobs, 2u);
     EXPECT_EQ(fingerprintAll(batch.results()),
-              fingerprintAll(serial.run(points)));
+              fingerprintAll(serial.runPoints(points).results()));
 }
 
 TEST(ParallelRunner, MetricsObserveTheBatch)
@@ -208,7 +209,7 @@ TEST(ParallelRunner, ExpandGridSeedsAreCounterDerived)
     std::vector<TransferMode> modes = {TransferMode::Standard,
                                        TransferMode::Uvm};
     std::vector<ExperimentPoint> grid =
-        ParallelRunner::expandGrid({"saxpy"}, modes, 2, base);
+        expandGrid({"saxpy"}, modes, 2, base);
     ASSERT_EQ(grid.size(), 4u);
     // Every (mode, trial) key gets its own stream...
     std::set<std::uint64_t> seeds;
@@ -217,10 +218,10 @@ TEST(ParallelRunner, ExpandGridSeedsAreCounterDerived)
     EXPECT_EQ(seeds.size(), grid.size());
     // ...and the derivation matches the documented contract.
     EXPECT_EQ(grid[0].opts.baseSeed,
-              ParallelRunner::pointSeed(7, "saxpy",
+              pointSeed(7, "saxpy",
                                         TransferMode::Standard, 0));
     EXPECT_EQ(grid[3].opts.baseSeed,
-              ParallelRunner::pointSeed(7, "saxpy", TransferMode::Uvm,
+              pointSeed(7, "saxpy", TransferMode::Uvm,
                                         1));
 }
 
@@ -237,7 +238,7 @@ TEST(ParallelRunner, TracedBatchExportIsByteIdenticalToSerial)
     base.trace = true;
     std::vector<TransferMode> modes(allTransferModes.begin(),
                                     allTransferModes.end());
-    std::vector<ExperimentPoint> points = ParallelRunner::expandGrid(
+    std::vector<ExperimentPoint> points = expandGrid(
         {"saxpy", "vector_seq"}, modes, 1, base);
 
     auto exported = [](const std::vector<ExperimentResult> &results) {
@@ -254,11 +255,11 @@ TEST(ParallelRunner, TracedBatchExportIsByteIdenticalToSerial)
     };
 
     ParallelRunner serial(SystemConfig::a100Epyc(), 1);
-    std::string reference = exported(serial.run(points));
+    std::string reference = exported(serial.runPoints(points).results());
     ASSERT_NE(reference.find("\"traceEvents\""), std::string::npos);
 
     ParallelRunner parallel(SystemConfig::a100Epyc(), 4);
-    EXPECT_EQ(exported(parallel.run(points)), reference);
+    EXPECT_EQ(exported(parallel.runPoints(points).results()), reference);
 }
 
 TEST(ParallelRunner, InjectedBatchIsByteIdenticalAcrossJobCounts)
@@ -286,7 +287,7 @@ TEST(ParallelRunner, InjectedBatchIsByteIdenticalAcrossJobCounts)
         "inject.kernel.jitter_us = 2\n"));
     std::vector<TransferMode> modes(allTransferModes.begin(),
                                     allTransferModes.end());
-    std::vector<ExperimentPoint> points = ParallelRunner::expandGrid(
+    std::vector<ExperimentPoint> points = expandGrid(
         {"saxpy", "vector_seq"}, modes, 1, base);
 
     auto artifacts = [](const std::vector<ExperimentResult> &results) {
@@ -307,17 +308,19 @@ TEST(ParallelRunner, InjectedBatchIsByteIdenticalAcrossJobCounts)
     };
 
     ParallelRunner serial(SystemConfig::a100Epyc(), 1);
-    std::vector<ExperimentResult> reference = serial.run(points);
+    std::vector<ExperimentResult> reference =
+        serial.runPoints(points).results();
 
     // The plan must actually have perturbed something, or this test
     // proves nothing.
     std::uint64_t fired = 0;
     for (const ExperimentResult &res : reference)
-        fired += res.injectCounters.totalEvents();
+        fired += computeTraceMetrics(res.trace).injectEvents;
     ASSERT_GT(fired, 0u);
 
     ParallelRunner parallel(SystemConfig::a100Epyc(), 4);
-    EXPECT_EQ(artifacts(parallel.run(points)), artifacts(reference));
+    EXPECT_EQ(artifacts(parallel.runPoints(points).results()),
+              artifacts(reference));
 }
 
 TEST(ParallelRunner, PoisonedConfigurationFailsOnlyItsPoint)
@@ -351,7 +354,7 @@ TEST(ParallelRunner, PoisonedConfigurationFailsOnlyItsPoint)
         << batch.points[1].error;
     EXPECT_TRUE(batch.points[2].ok);
 
-    std::vector<ExperimentResult> reference = runner.run(clean);
+    std::vector<ExperimentResult> reference = runner.runPoints(clean).results();
     EXPECT_EQ(fingerprint(batch.points[0].result),
               fingerprint(reference[0]));
     EXPECT_EQ(fingerprint(batch.points[2].result),
@@ -440,7 +443,7 @@ TEST(ParallelRunner, LivelockedPointIsQuarantinedSiblingsIntact)
     EXPECT_EQ(batch.quarantined(), 1u);
     EXPECT_TRUE(batch.degraded());
 
-    std::vector<ExperimentResult> reference = runner.run(clean);
+    std::vector<ExperimentResult> reference = runner.runPoints(clean).results();
     EXPECT_EQ(fingerprint(batch.points[0].result),
               fingerprint(reference[0]));
     EXPECT_EQ(fingerprint(batch.points[2].result),
@@ -1016,7 +1019,7 @@ TEST(JobFilePoints, RunOutsideTheRegistryAndTraceToValidJson)
         points.push_back(
             ExperimentPoint{file->job.name, mode, opts, file});
     ParallelRunner runner(SystemConfig::a100Epyc(), 2);
-    std::vector<ExperimentResult> results = runner.run(points);
+    std::vector<ExperimentResult> results = runner.runPoints(points).results();
     ASSERT_EQ(results.size(), 2u);
     EXPECT_GT(results[1].counters.faults, 0u);
 

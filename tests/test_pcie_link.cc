@@ -110,12 +110,21 @@ TEST(PcieLink, ByteAccounting)
                   TransferKind::Writeback);
     EXPECT_EQ(link.bytesMoved(Direction::HostToDevice), mib(3));
     EXPECT_EQ(link.bytesMoved(Direction::DeviceToHost), mib(2));
-    EXPECT_EQ(link.bytesByKind(TransferKind::PageableCopy), mib(3));
-    EXPECT_EQ(link.bytesByKind(TransferKind::Writeback), mib(2));
+    StatMap stats;
+    link.exportStats(stats);
+    EXPECT_EQ(stats.at(std::string("pcie.bytes_") +
+                       transferKindName(TransferKind::PageableCopy)),
+              static_cast<double>(mib(3)));
+    EXPECT_EQ(stats.at(std::string("pcie.bytes_") +
+                       transferKindName(TransferKind::Writeback)),
+              static_cast<double>(mib(2)));
 
     link.reset();
     EXPECT_EQ(link.bytesMoved(Direction::HostToDevice), 0u);
-    EXPECT_EQ(link.nextFree(0, Direction::HostToDevice), 0u);
+    EXPECT_EQ(link.transfer(0, kib(4), Direction::HostToDevice,
+                            TransferKind::PageableCopy)
+                  .start,
+              0u);
 }
 
 TEST(PcieLink, StatsExport)

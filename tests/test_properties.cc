@@ -24,23 +24,17 @@
 #include "store/fingerprint.hh"
 #include "store/result_store.hh"
 #include "trace/metrics.hh"
-#include "trace/trace_check.hh"
+#include "trace_check.hh"
 #include "workloads/registry.hh"
 #include "xfer/migration_engine.hh"
+#include "grid.hh"
+#include "wait_terminal.hh"
+#include "stat_of.hh"
 
 namespace uvmasync
 {
 namespace
 {
-
-/** The page table's exported `pt.<key>` counter. */
-std::uint64_t
-ptStat(const PageTable &table, const std::string &key)
-{
-    StatMap stats;
-    table.exportStats(stats);
-    return static_cast<std::uint64_t>(stats.at("pt." + key));
-}
 
 // --- Migration engine conservation -----------------------------------
 
@@ -64,10 +58,11 @@ TEST(Conservation, MigratedBytesMatchLinkPayload)
 
     // The page table's migration accounting and the link's payload
     // accounting must agree byte for byte.
-    EXPECT_EQ(ptStat(table, "bytes_to_device"),
+    EXPECT_EQ(statOf(table, "bytes_to_device"),
               link.bytesMoved(Direction::HostToDevice));
     // Resident bytes equal what was migrated (no eviction here).
-    EXPECT_EQ(devMem.residentBytes(), ptStat(table, "bytes_to_device"));
+    EXPECT_EQ(statOf(devMem, "resident_bytes"),
+              statOf(table, "bytes_to_device"));
 }
 
 TEST(Conservation, WritebackNeverExceedsResident)
@@ -85,7 +80,7 @@ TEST(Conservation, WritebackNeverExceedsResident)
     engine.writebackDirty(id, seconds(1));
     EXPECT_LE(link.bytesMoved(Direction::DeviceToHost), mib(64));
     EXPECT_EQ(link.bytesMoved(Direction::DeviceToHost),
-              ptStat(table, "bytes_to_host"));
+              statOf(table, "bytes_to_host"));
 }
 
 TEST(Conservation, OversubscribedResidencyNeverExceedsCapacity)
@@ -103,7 +98,7 @@ TEST(Conservation, OversubscribedResidencyNeverExceedsCapacity)
     Tick t = 0;
     for (std::uint64_t c = 0; c < table.range(id).chunkCount(); ++c) {
         t = engine.requestChunk(id, c, t);
-        ASSERT_LE(devMem.residentBytes(), devMem.capacity());
+        ASSERT_LE(statOf(devMem, "resident_bytes"), devMem.capacity());
     }
 }
 
@@ -364,7 +359,7 @@ TEST(StoreEquivalence, WarmSweepIsBitIdenticalToCold)
     base.runs = 3;
     std::vector<TransferMode> modes(allTransferModes.begin(),
                                     allTransferModes.end());
-    std::vector<ExperimentPoint> grid = ParallelRunner::expandGrid(
+    std::vector<ExperimentPoint> grid = expandGrid(
         {"saxpy", "gemv"}, modes, 1, base);
 
     std::string dir =
@@ -500,7 +495,7 @@ TEST(ServiceEquivalence, RacingIdenticalTenantsShareOneSimulation)
             }
             handles[i] = handle;
             BatchState finalState = BatchState::Pending;
-            if (!daemon.waitTerminal(handle, finalState) ||
+            if (!waitTerminal(daemon, handle, finalState) ||
                 finalState != BatchState::Done) {
                 errors[i] = "batch did not finish clean";
                 return;

@@ -11,6 +11,7 @@
 
 #include "common/rng.hh"
 #include "core/parallel_runner.hh"
+#include "grid.hh"
 
 namespace uvmasync
 {
@@ -30,21 +31,6 @@ TEST(Rng, DifferentSeedsDiverge)
     int same = 0;
     for (int i = 0; i < 100; ++i) {
         if (a() == b())
-            ++same;
-    }
-    EXPECT_LT(same, 2);
-}
-
-TEST(Rng, ForkIsIndependent)
-{
-    Rng parent(7);
-    Rng child = parent.fork();
-    // The child stream must not replay the parent's outputs.
-    Rng parent2(7);
-    (void)parent2(); // consume the draw the fork used
-    int same = 0;
-    for (int i = 0; i < 100; ++i) {
-        if (child() == parent2())
             ++same;
     }
     EXPECT_LT(same, 2);
@@ -176,9 +162,9 @@ TEST(PointStream, SameKeyGivesIdenticalStream)
     // Deterministic replay: the same (baseSeed, workload, mode,
     // trial) key always derives the same stream, on any thread, in
     // any submission order.
-    std::uint64_t s1 = ParallelRunner::pointSeed(
+    std::uint64_t s1 = pointSeed(
         42, "saxpy", TransferMode::Uvm, 3);
-    std::uint64_t s2 = ParallelRunner::pointSeed(
+    std::uint64_t s2 = pointSeed(
         42, "saxpy", TransferMode::Uvm, 3);
     EXPECT_EQ(s1, s2);
     Rng a(s1), b(s2);
@@ -188,42 +174,42 @@ TEST(PointStream, SameKeyGivesIdenticalStream)
 
 TEST(PointStream, DifferentTrialsAreUncorrelated)
 {
-    Rng a(ParallelRunner::pointSeed(42, "saxpy", TransferMode::Uvm,
+    Rng a(pointSeed(42, "saxpy", TransferMode::Uvm,
                                     0));
-    Rng b(ParallelRunner::pointSeed(42, "saxpy", TransferMode::Uvm,
+    Rng b(pointSeed(42, "saxpy", TransferMode::Uvm,
                                     1));
     EXPECT_NEAR(streamCorrelation(a, b, 20000), 0.0, 0.03);
 }
 
 TEST(PointStream, DifferentModesAreUncorrelated)
 {
-    Rng a(ParallelRunner::pointSeed(42, "saxpy",
+    Rng a(pointSeed(42, "saxpy",
                                     TransferMode::Standard, 0));
-    Rng b(ParallelRunner::pointSeed(42, "saxpy", TransferMode::Async,
+    Rng b(pointSeed(42, "saxpy", TransferMode::Async,
                                     0));
     EXPECT_NEAR(streamCorrelation(a, b, 20000), 0.0, 0.03);
 }
 
 TEST(PointStream, DifferentWorkloadsAreUncorrelated)
 {
-    Rng a(ParallelRunner::pointSeed(42, "saxpy", TransferMode::Uvm,
+    Rng a(pointSeed(42, "saxpy", TransferMode::Uvm,
                                     0));
-    Rng b(ParallelRunner::pointSeed(42, "gemm", TransferMode::Uvm,
+    Rng b(pointSeed(42, "gemm", TransferMode::Uvm,
                                     0));
     EXPECT_NEAR(streamCorrelation(a, b, 20000), 0.0, 0.03);
 }
 
 TEST(PointStream, AnyDifferingKeyComponentChangesTheSeed)
 {
-    std::uint64_t base = ParallelRunner::pointSeed(
+    std::uint64_t base = pointSeed(
         42, "saxpy", TransferMode::Uvm, 0);
-    EXPECT_NE(base, ParallelRunner::pointSeed(
+    EXPECT_NE(base, pointSeed(
                         43, "saxpy", TransferMode::Uvm, 0));
-    EXPECT_NE(base, ParallelRunner::pointSeed(
+    EXPECT_NE(base, pointSeed(
                         42, "gemm", TransferMode::Uvm, 0));
-    EXPECT_NE(base, ParallelRunner::pointSeed(
+    EXPECT_NE(base, pointSeed(
                         42, "saxpy", TransferMode::UvmPrefetch, 0));
-    EXPECT_NE(base, ParallelRunner::pointSeed(
+    EXPECT_NE(base, pointSeed(
                         42, "saxpy", TransferMode::Uvm, 1));
 }
 
@@ -233,7 +219,7 @@ TEST(PointStream, SeedsWellDistributedOverTrialCounter)
     // index sweeps a realistic replication range.
     std::set<std::uint64_t> seeds;
     for (std::uint32_t trial = 0; trial < 4096; ++trial)
-        seeds.insert(ParallelRunner::pointSeed(
+        seeds.insert(pointSeed(
             42, "saxpy", TransferMode::Uvm, trial));
     EXPECT_EQ(seeds.size(), 4096u);
 }

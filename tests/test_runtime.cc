@@ -9,6 +9,7 @@
 #include "common/stats.hh"
 #include "runtime/device.hh"
 #include "runtime/noise_model.hh"
+#include "stat_of.hh"
 
 namespace uvmasync
 {
@@ -49,7 +50,7 @@ TEST(Allocator, JobAccountingAndReset)
     Allocator alloc("a", AllocatorConfig{});
     alloc.deviceAlloc(mib(1));
     EXPECT_GT(alloc.jobAllocTime(), 0u);
-    EXPECT_EQ(alloc.calls(), 1u);
+    EXPECT_EQ(statOf(alloc, "calls"), 1u);
     alloc.beginJob();
     EXPECT_EQ(alloc.jobAllocTime(), 0u);
     // Context stays initialised across jobs.

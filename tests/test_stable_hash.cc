@@ -21,6 +21,7 @@
 #include "runtime/system_config.hh"
 #include "store/fingerprint.hh"
 #include "workloads/job_loader.hh"
+#include "grid.hh"
 
 namespace uvmasync
 {
@@ -67,7 +68,7 @@ TEST(StableHash, PersistedValuesAreUnchanged)
     base.baseSeed = 42;
     std::vector<TransferMode> modes(allTransferModes.begin(),
                                     allTransferModes.end());
-    EXPECT_EQ(campaignHash(ParallelRunner::expandGrid({"saxpy"}, modes,
+    EXPECT_EQ(campaignHash(expandGrid({"saxpy"}, modes,
                                                       1, base)),
               0x2d6cde09c767e17bull);
 
@@ -77,7 +78,7 @@ TEST(StableHash, PersistedValuesAreUnchanged)
 
 TEST(StableHash, SeedsAndSaltsAreUnchanged)
 {
-    EXPECT_EQ(ParallelRunner::pointSeed(42, "saxpy", TransferMode::Uvm,
+    EXPECT_EQ(pointSeed(42, "saxpy", TransferMode::Uvm,
                                         3),
               0x02dbb163f2ae8ad0ull);
     EXPECT_EQ(injectSalt(7, 11), 0xfefb197ce2730473ull);

@@ -31,6 +31,7 @@
 #include "journal/json.hh"
 #include "store/fingerprint.hh"
 #include "store/result_store.hh"
+#include "grid.hh"
 
 namespace uvmasync
 {
@@ -137,7 +138,7 @@ smallGrid()
     base.baseSeed = 42;
     std::vector<TransferMode> modes(allTransferModes.begin(),
                                     allTransferModes.end());
-    return ParallelRunner::expandGrid({"saxpy", "vector_seq"}, modes,
+    return expandGrid({"saxpy", "vector_seq"}, modes,
                                       1, base);
 }
 
@@ -361,7 +362,7 @@ TEST(Store, FailedPointsAreNeverCached)
         BatchResult batch = runner.runPoints(points, policy);
         EXPECT_EQ(batch.quarantined(), 1u);
         // Only the two successes were stored.
-        EXPECT_EQ(store->recordCount(), 2u);
+        EXPECT_EQ(surveyStore(dir).records, 2u);
         EXPECT_EQ(store->stats().stored, 2u);
     }
 
@@ -377,7 +378,7 @@ TEST(Store, FailedPointsAreNeverCached)
         BatchResult batch = runner.runPoints(points, policy);
         EXPECT_EQ(batch.metrics.cacheHits, 2u);
         EXPECT_EQ(batch.points[1].status, PointStatus::Quarantined);
-        EXPECT_EQ(store->recordCount(), 2u);
+        EXPECT_EQ(surveyStore(dir).records, 2u);
     }
     removeStoreDir(dir);
 }
@@ -406,7 +407,7 @@ TEST(Store, TracedPointsBypassTheStore)
         // Never cached, never stored: traces are not serializable,
         // so a traced rerun must re-simulate (deterministically).
         EXPECT_EQ(batch.metrics.cacheHits, 0u);
-        EXPECT_EQ(store->recordCount(), 0u);
+        EXPECT_EQ(surveyStore(dir).records, 0u);
         EXPECT_FALSE(batch.points[0].result.trace.events().empty());
     }
     removeStoreDir(dir);
@@ -468,7 +469,7 @@ TEST(Store, KillAnywhereTruncationRecovers)
         auto store = ResultStore::open(dir, fp);
         EXPECT_EQ(store->stats().tornTails, torn ? 1u : 0u)
             << "keep=" << keep;
-        EXPECT_EQ(store->recordCount(), keep - 1) << "keep=" << keep;
+        EXPECT_EQ(surveyStore(dir).records, keep - 1) << "keep=" << keep;
         ExperimentResult out;
         for (std::size_t i = 0; i < keys.size(); ++i) {
             EXPECT_EQ(store->lookup(keys[i], out), i < keep - 1)
@@ -506,7 +507,7 @@ TEST(Store, FlippedByteIsCountedAndNeverServed)
     auto store = ResultStore::open(
         dir, fp, StoreOptions{/*readonly=*/true, 0});
     EXPECT_EQ(store->stats().corruptRecords, 1u);
-    EXPECT_EQ(store->recordCount(), keys.size() - 1);
+    EXPECT_EQ(surveyStore(dir).records, keys.size() - 1);
     ExperimentResult out;
     EXPECT_TRUE(store->lookup(keys[0], out));
     EXPECT_FALSE(store->lookup(keys[1], out)); // damaged: a miss
@@ -522,6 +523,32 @@ TEST(Store, FlippedByteIsCountedAndNeverServed)
     StoreGcResult gc = gcStore(dir, 0);
     EXPECT_EQ(gc.droppedRecords, 1u);
     EXPECT_TRUE(surveyStore(dir).clean());
+    removeStoreDir(dir);
+}
+
+TEST(Store, IdentityMismatchIsRejectedAndCounted)
+{
+    // A record under a point's key that carries another point's
+    // identity (a config-hash collision, or damage the checksum
+    // missed) is counted as corrupt and never served.
+    std::string dir = tmpDir("identity");
+    removeStoreDir(dir);
+    ExperimentOptions opts;
+    opts.size = SizeClass::Tiny;
+    opts.runs = 1;
+    std::vector<ExperimentPoint> points = {
+        {"saxpy", TransferMode::Uvm, opts}};
+    auto store = ResultStore::open(dir, 0xfeedull);
+    ExperimentResult other;
+    other.workload = "gemv";
+    other.mode = TransferMode::Uvm;
+    other.size = SizeClass::Tiny;
+    store->insert(pointConfigHash(points[0]), other);
+
+    StorePointCache cache(*store, points);
+    PointOutcome out;
+    EXPECT_FALSE(cache.lookup(0, out));
+    EXPECT_EQ(store->stats().corruptRecords, 1u);
     removeStoreDir(dir);
 }
 
@@ -551,7 +578,7 @@ TEST(Store, FingerprintBumpMissesEveryPriorEntry)
     std::size_t dropped = invalidateStore(dir, &stale);
     EXPECT_EQ(dropped, keys.size());
     auto fresh = ResultStore::open(dir, /*fp=*/2);
-    EXPECT_EQ(fresh->recordCount(), 1u);
+    EXPECT_EQ(surveyStore(dir).records, 1u);
     EXPECT_TRUE(fresh->lookup(keys[0], out));
     removeStoreDir(dir);
 }
@@ -604,7 +631,7 @@ TEST(Store, LruSegmentsAreEvictedUnderAByteBudget)
     // shard 1 (shard 0 was just touched, shard 3 is protected).
     store->insert(3, res);
     EXPECT_EQ(store->stats().evictedSegments, 1u);
-    EXPECT_LE(store->totalBytes(), opt.maxBytes);
+    EXPECT_LE(surveyStore(dir).bytes, opt.maxBytes);
     EXPECT_TRUE(store->lookup(0, out));
     EXPECT_FALSE(store->lookup(1, out));
     EXPECT_TRUE(store->lookup(3, out));
@@ -612,7 +639,7 @@ TEST(Store, LruSegmentsAreEvictedUnderAByteBudget)
 
     // The logical clock persists: a reopen still knows the order.
     auto back = ResultStore::open(dir, fp, opt);
-    EXPECT_EQ(back->recordCount(), 3u);
+    EXPECT_EQ(surveyStore(dir).records, 3u);
     removeStoreDir(dir);
 }
 

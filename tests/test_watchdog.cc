@@ -20,6 +20,24 @@ namespace uvmasync
 namespace
 {
 
+/**
+ * The current stall run of @p wd (events since simulated time last
+ * advanced), read off a copy: same-tick events at @p now until its
+ * livelock ceiling @p maxStall trips.
+ */
+std::uint64_t
+stallRun(Watchdog wd, Tick now, std::uint64_t maxStall)
+{
+    for (std::uint64_t fed = 1;; ++fed) {
+        try {
+            wd.onEvent(now);
+        } catch (const PointTimeout &timeout) {
+            EXPECT_EQ(timeout.kind(), WatchdogTrip::Livelock);
+            return maxStall - fed;
+        }
+    }
+}
+
 TEST(Watchdog, DisarmedIsANoOp)
 {
     Watchdog wd;
@@ -105,7 +123,7 @@ TEST(Watchdog, TimeAdvanceResetsTheStallRun)
         wd.onEvent(nanoseconds(t));
         wd.onEvent(nanoseconds(t));
         wd.onEvent(nanoseconds(t));
-        EXPECT_EQ(wd.stallRun(), 2u);
+        EXPECT_EQ(stallRun(wd, nanoseconds(t), cfg.maxStallEvents), 2u);
     }
     EXPECT_EQ(wd.events(), 150u);
 }
@@ -130,12 +148,13 @@ TEST(Watchdog, StallCounterIsFedByQueueDispatch)
     // Eight completions at tick 5: the first advances time (0 -> 5),
     // the next seven stall. The tick-9 completion resets the run.
     EXPECT_EQ(wd.events(), 9u);
-    EXPECT_EQ(wd.stallRun(), 0u);
+    EXPECT_EQ(stallRun(wd, nanoseconds(9), cfg.maxStallEvents), 0u);
 
     for (int i = 0; i < 4; ++i)
         wd.onEvent(nanoseconds(9));
     EXPECT_EQ(wd.events(), 13u);
-    EXPECT_EQ(wd.stallRun(), 4u); // tick never advanced past 9
+    // The tick never advanced past 9.
+    EXPECT_EQ(stallRun(wd, nanoseconds(9), cfg.maxStallEvents), 4u);
 }
 
 TEST(Watchdog, CleanEvictionBurstsAreInvisibleToTimeCeilings)
@@ -157,7 +176,8 @@ TEST(Watchdog, CleanEvictionBurstsAreInvisibleToTimeCeilings)
             wd.checkSimTime(nanoseconds(100)); // phase boundary
         });
         EXPECT_EQ(wd.events(), static_cast<std::uint64_t>(kBurst));
-        EXPECT_EQ(wd.stallRun(), kBurst - 1u);
+        EXPECT_EQ(stallRun(wd, nanoseconds(100), cfg.maxStallEvents),
+                  kBurst - 1u);
     }
     // ...while only the livelock ceiling — the one sized for honest
     // same-tick work — can declare the burst pathological.
